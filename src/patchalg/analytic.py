@@ -17,11 +17,18 @@ The multiplication kernel rests on the partial-fraction identity
     z_i * z_j = z_i/(c_i - c_j) + z_j/(c_j - c_i)        (i != j)
 
 applied recursively, which keeps products of canonical forms canonical.
-Chart changes use t_j = (1 + (c_{j'} - c_j) z_{j'}) * t_{j'} followed by the
-same reduction.
+
+Chart changes use t_j = (1 + (c_{j'} - c_j) z_{j'}) * t_{j'}.  The
+substitution keeps the t-degree, so the t'^m coefficient of a rebased
+element depends only on the t^m coefficients of the input: for each source
+slot z_k^n a transfer table gives every target slot one weight per m, the
+coefficient of that slot in the canonical form of z_k^n (1 + delta z_{j'})^m.
+A chart change is then one coefficientwise product per source series and
+target slot.
 
 Everything here is immutable and pure; configurations carry memo tables for
-the rewrite coefficients but those are write-once caches.
+the rewrite coefficients and the transfer tables, but those are write-once
+caches (a transfer table only ever grows by appending columns).
 """
 
 from __future__ import annotations
@@ -31,7 +38,14 @@ from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
 from .scalars import FieldDescriptor, FieldError, Scalar
-from .series import INF, NonUnitError, RegularityError, TruncSeries, poly_simple_root
+from .series import (
+    INF,
+    NonUnitError,
+    RegularityError,
+    TruncSeries,
+    _coords_to_ints,
+    poly_simple_root,
+)
 
 __all__ = [
     "ChartError",
@@ -96,6 +110,7 @@ class Configuration:
         self.precision = precision
         self._rw_cache: dict = {}
         self._rwi_cache: dict = {}
+        self._transfer_cache: dict = {}
 
     @property
     def indices(self) -> range:
@@ -179,16 +194,144 @@ class Configuration:
         hit = self._rwi_cache.get(key)
         if hit is None:
             hit = tuple(
-                (kn, *_scalar_ints(c)) for kn, c in self.rewrite(i, a, j, b).items()
+                (kn, *_coords_to_ints(c.coords)) for kn, c in self.rewrite(i, a, j, b).items()
             )
             self._rwi_cache[key] = hit
         return hit
+
+    # -- chart-change transfer tables ------------------------------------------
+
+    def transfer(self, j: int, j2: int, k: Optional[int], n: int, length: int) -> tuple:
+        """Weights of the chart change j -> j2 on the source slot z_k^n.
+
+        The f0 slot is k None, n 0.  Returns rows (slot, lo, den, comps), one
+        per target slot (None for f0, else (index, exponent)): the weight of
+        t^m is comps[d][m] / den for each coordinate d, zero for m < lo, given
+        for at least ``length`` values of m.  Weights do not depend on the
+        precision, so one table per (j, j2, k, n) is cached and extended.
+        """
+        key = (j, j2, k, n)
+        table = self._transfer_cache.get(key)
+        if table is None:
+            table = self._transfer_cache[key] = _TransferTable(self, j, j2, k, n)
+        table.extend(length)
+        return table.rows
 
 
 def default_configuration(precision: int = 16) -> Configuration:
     from .scalars import QQ
 
     return Configuration(QQ, [0, 1, 2], precision)
+
+
+def _nums_mul(x: list, y: list) -> list:
+    """Product of two integer coordinate vectors (over Z, or Z[i] with w^2 = -1)."""
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    a, b = x
+    c, d = y
+    return [a * c - b * d, a * d + b * c]
+
+
+class _TransferTable:
+    """Weights of the chart change j -> j2 on one source slot z_k^n.
+
+    Column m is the canonical form of z_k^n (1 + delta z_j2)^m, delta =
+    c_j2 - c_j (for the f0 slot, k None, of (1 + delta z_j2)^m), held as
+    integer numerators over one denominator.  Column m + 1 is column m times
+    1 + delta z_j2, where multiplying by z_j2
+
+    * moves the f0 slot to (j2, 1) and each (j2, p) to (j2, p + 1);
+    * takes the z_k-part through one suffix sweep with
+      z_k^p z_j2 = beta^p z_j2 - sum_{r=1..p} beta^(p-r+1) z_k^r,
+      beta = 1 / (c_j2 - c_k).
+
+    Only f0, (k, 1..n) and (j2, 1..n+m) occur, so a table of length P costs
+    O(P (P + n)) integer operations.  ``rows`` holds the columns turned
+    around: per target slot (slot, lo, den, comps), the weights over m.
+    """
+
+    __slots__ = ("j2", "k", "n", "dn", "dd", "bn", "bd_pow", "den", "col", "length",
+                 "_rows", "rows")
+
+    def __init__(self, cfg: Configuration, j: int, j2: int, k: Optional[int], n: int):
+        self.j2, self.k, self.n = j2, k, n
+        self.dn, self.dd = _coords_to_ints((cfg.centers[j2] - cfg.centers[j]).coords)
+        if k is None or k == j2:
+            self.bn, self.bd_pow = None, [1]
+        else:
+            beta = (cfg.centers[j2] - cfg.centers[k]).inverse()
+            self.bn, bd = _coords_to_ints(beta.coords)
+            self.bd_pow = [bd ** e for e in range(n + 1)]
+        self.den = 1
+        self.col = {None if k is None else (k, n): [1] + [0] * (cfg.field.dim - 1)}
+        self.length = 0
+        self._rows: dict = {}  # slot -> [lo, den, comps], comps growing by one per column
+        self.rows = ()
+
+    def _step(self) -> None:
+        """Replace column m by column m + 1."""
+        j2, k, n, col = self.j2, self.k, self.n, self.col
+        zero = [0] * len(self.dn)
+        B = self.bd_pow[-1]
+        # z_j2 * column m, over the denominator den * B
+        z = {}
+        for slot, v in col.items():
+            if slot is None:
+                z[(j2, 1)] = [x * B for x in v]
+            elif slot[0] == j2:
+                z[(j2, slot[1] + 1)] = [x * B for x in v]
+        if self.bn is not None:
+            # u holds sum_{p >= r} e_p beta^(p-r+1) over den * bd^(n-r+1)
+            u = zero
+            for r in range(n, 0, -1):
+                e = col.get((k, r), zero)
+                u = _nums_mul(self.bn, [x * self.bd_pow[n - r] + y for x, y in zip(e, u)])
+                z[(k, r)] = [-x * self.bd_pow[r - 1] for x in u]
+            z[(j2, 1)] = [x + y for x, y in zip(z.get((j2, 1), zero), u)]
+        f = self.dd * B
+        new = {slot: [x * f for x in v] for slot, v in col.items()}
+        for slot, v in z.items():
+            dv = _nums_mul(self.dn, v)
+            old = new.get(slot)
+            new[slot] = dv if old is None else [x + y for x, y in zip(old, dv)]
+        g = den = self.den * f
+        for v in new.values():
+            for x in v:
+                g = gcd(g, x)
+        self.den = den // g
+        self.col = {slot: [x // g for x in v] for slot, v in new.items() if any(v)}
+
+    def extend(self, length: int) -> None:
+        """Make ``rows`` cover m < length, appending columns to the table."""
+        if length <= self.length:
+            return
+        rows = self._rows
+        dim = len(self.dn)
+        while self.length < length:
+            m = self.length
+            if m:
+                self._step()
+            E, col = self.den, self.col
+            for slot in col:
+                if slot not in rows:
+                    rows[slot] = [m, E, [[0] * m for _ in range(dim)]]
+            for slot, row in rows.items():
+                v = col.get(slot)
+                if v is None:
+                    for c in row[2]:
+                        c.append(0)
+                    continue
+                _lo, den, comps = row
+                if den % E:
+                    # rescale into fresh lists: rows handed out earlier keep their denominator
+                    s = E // gcd(den, E)
+                    row[1] = den = den * s
+                    row[2] = comps = [[x * s for x in c] for c in comps]
+                for c, x in zip(comps, v):
+                    c.append(x * (den // E))
+            self.length += 1
+        self.rows = tuple((slot, lo, den, tuple(comps)) for slot, (lo, den, comps) in rows.items())
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +373,7 @@ class _SeriesAcc:
                     comp[n] += f * x
 
     def add_scaled(self, ts: TruncSeries, s: Scalar) -> None:
-        nums, sden = _scalar_ints(s)
+        nums, sden = _coords_to_ints(s.coords)
         self.add_ints(ts, nums, sden)
 
     def add_ints(self, ts: TruncSeries, nums, sden: int) -> None:
@@ -253,42 +396,32 @@ class _SeriesAcc:
                     re_t[n] += a * x - b * y
                     im_t[n] += a * y + b * x
 
-    def add_monomial_ints(self, ts: TruncSeries, m: int, nums, den: int) -> None:
-        """self += (nums/den) * (coefficient of t^m in ts) * t^m."""
-        if m >= min(self.prec, ts.prec):
-            return
+    def add_weighted(self, ts: TruncSeries, lo: int, nums, den: int) -> None:
+        """self += ts times the weights nums/den coefficientwise in t, from t^lo on."""
         f = self._merge_den(ts.den * den)
+        lim = min(self.prec, ts.prec, len(nums[0]))
         if self.field.dim == 1:
-            x = ts._c[0][m]
-            if x:
-                self.comps[0][m] += nums[0] * f * x
+            comp, src, w = self.comps[0], ts._c[0], nums[0]
+            for m in range(lo, lim):
+                x = src[m]
+                if x:
+                    comp[m] += f * x * w[m]
         else:
-            x, y = ts._c[0][m], ts._c[1][m]
-            if x or y:
-                a, b = nums[0] * f, nums[1] * f
-                self.comps[0][m] += a * x - b * y
-                self.comps[1][m] += a * y + b * x
+            re_t, im_t = self.comps
+            re_s, im_s = ts._c
+            re_w, im_w = nums
+            for m in range(lo, lim):
+                x, y = re_s[m], im_s[m]
+                if x or y:
+                    a, b = f * re_w[m], f * im_w[m]
+                    re_t[m] += a * x - b * y
+                    im_t[m] += a * y + b * x
 
     def is_zero(self) -> bool:
         return all(not any(c) for c in self.comps)
 
     def result(self) -> TruncSeries:
         return TruncSeries(self.field, self.prec, self.den, self.comps)
-
-
-def _scalar_ints(s: Scalar) -> tuple[list[int], int]:
-    den = 1
-    for c in s.coords:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in s.coords], den
-
-
-def _ints_mul(n1, d1: int, n2, d2: int, dim: int) -> tuple[list[int], int]:
-    if dim == 1:
-        return [n1[0] * n2[0]], d1 * d2
-    a, b = n1
-    c, d = n2
-    return [a * c - b * d, a * d + b * c], d1 * d2
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +484,6 @@ class AnalyticElement:
     @property
     def precision(self) -> int:
         return self.f0.prec
-
-    @property
-    def zcoeffs(self) -> dict:
-        """The z-coefficient table keyed by (index, exponent)."""
-        return dict(self.zc)
 
     def support(self) -> frozenset:
         return frozenset(k for (k, _n) in self.zc)
@@ -485,73 +613,33 @@ class AnalyticElement:
     def rebase(self, to_chart: int) -> "AnalyticElement":
         """The same ring element written over t' = X - c_{j'} Y.
 
-        Uses t = (1 + (c_{j'} - c_j) z_{j'}) t' expanded binomially, with
-        cross terms reduced by the rewrite rule.
+        Substitutes t = (1 + (c_{j'} - c_j) z_{j'}) t'.  That keeps the
+        t-degree, so every target slot receives each source series times a
+        weight vector over the t-degree, read from the configuration's
+        transfer table for the source slot (``Configuration.transfer``).
         """
         if to_chart == self.chart:
             return self
         cfg = self.cfg
         if to_chart not in cfg.indices:
             raise ChartError(f"chart {to_chart} outside the configured index set")
-        dim = cfg.field.dim
-        delta = cfg.centers[to_chart] - cfg.centers[self.chart]
         prec = self.precision
-        acc0 = _SeriesAcc(cfg.field, prec)
         acc: dict = {}
-
-        def slot(k: int, n: int) -> _SeriesAcc:
-            a = acc.get((k, n))
-            if a is None:
-                a = acc[(k, n)] = _SeriesAcc(cfg.field, prec)
-            return a
-
-        # integer forms of delta^l, shared across all source terms
-        d_ints = _scalar_ints(delta)
-        dpow = [([1] + [0] * (dim - 1), 1)]
-        for _ in range(prec - 1):
-            pn, pd = dpow[-1]
-            dpow.append(_ints_mul(pn, pd, d_ints[0], d_ints[1], dim))
-
-        # spread of delta^l * z_{j'}^l * z_k^n into canonical slots, cached per (l, k, n)
-        spread_cache: dict = {}
-
-        def spread(l: int, k: int, n: int):
-            key = (l, k, n)
-            hit = spread_cache.get(key)
-            if hit is None:
-                dn, dd = dpow[l]
-                items = []
-                for (kk, nn), rc in cfg.rewrite(to_chart, l, k, n).items():
-                    rn, rd = _scalar_ints(rc)
-                    items.append(((kk, nn), *_ints_mul(dn, dd, rn, rd, dim)))
-                hit = spread_cache[key] = items
-            return hit
-
-        one_ints = ([1] + [0] * (dim - 1), 1)
-        sources = [(None, 0, self.f0)] if not self.f0.is_zero() else []
-        sources += [(k, n, s) for (k, n), s in self.zc.items()]
-        for k, n, s in sources:
-            alive = [m for m in range(min(prec, s.prec)) if any(c[m] for c in s._c)]
-            for m in alive:
-                if k is None:
-                    acc0.add_monomial_ints(s, m, *one_ints)
-                else:
-                    slot(k, n).add_monomial_ints(s, m, *one_ints)
-                for l in range(1, m + 1):
-                    cmb = comb(m, l)
-                    if k is None or k == to_chart:
-                        dn, dd = dpow[l]
-                        tgt_n = l + (n if k == to_chart else 0)
-                        slot(to_chart, tgt_n).add_monomial_ints(
-                            s, m, [cmb * x for x in dn], dd
-                        )
-                    else:
-                        for kn2, sn, sd in spread(l, k, n):
-                            slot(*kn2).add_monomial_ints(
-                                s, m, [cmb * x for x in sn], sd
-                            )
+        for k, n, s in self._term_list():
+            v = s.vt()
+            for slot, lo, den, comps in cfg.transfer(self.chart, to_chart, k, n, prec):
+                start = max(lo, v)
+                if start >= prec:
+                    continue
+                a = acc.get(slot)
+                if a is None:
+                    a = acc[slot] = _SeriesAcc(cfg.field, prec)
+                a.add_weighted(s, start, comps, den)
+        f0 = acc.pop(None, None)
         zc = {kn: a.result() for kn, a in acc.items() if not a.is_zero()}
-        return AnalyticElement(cfg, to_chart, acc0.result(), zc)
+        return AnalyticElement(
+            cfg, to_chart, f0.result() if f0 else cfg.zero_series(prec), zc
+        )
 
     # -- t-power shifts ----------------------------------------------------------
 
