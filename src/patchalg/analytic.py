@@ -16,7 +16,10 @@ The multiplication kernel rests on the partial-fraction identity
 
     z_i * z_j = z_i/(c_i - c_j) + z_j/(c_j - c_i)        (i != j)
 
-applied recursively, which keeps products of canonical forms canonical.
+which keeps products of canonical forms canonical.  A product collects its
+cross terms z_i^a z_j^b per index pair in a grid and reduces each grid once,
+by one sweep from the highest a + b down that applies the identity to every
+cell (see ``ae_dot``).
 
 Chart changes use t_j = (1 + (c_{j'} - c_j) z_{j'}) * t_{j'}.  The
 substitution keeps the t-degree, so the t'^m coefficient of a rebased
@@ -108,7 +111,6 @@ class Configuration:
                 if self.centers[a] == self.centers[b]:
                     raise ValueError("centers must be distinct")
         self.precision = precision
-        self._rw_cache: dict = {}
         self._rwi_cache: dict = {}
         self._transfer_cache: dict = {}
 
@@ -164,28 +166,28 @@ class Configuration:
     def rewrite(self, i: int, a: int, j: int, b: int) -> dict:
         """Reduction of z_i^a * z_j^b (i != j) to pure powers.
 
-        Returns a map (index, exponent) -> Scalar.  Cached per configuration.
+        Returns a map (index, exponent) -> Scalar.  In s = X/Y, z_k is
+        1/(s - c_k), so this is the partial-fraction decomposition of
+        1/((s - c_i)^a (s - c_j)^b): with delta = c_i - c_j, the coefficient
+        of z_i^r (1 <= r <= a) is (-1)^(a-r) C(a+b-r-1, a-r) delta^-(a+b-r),
+        and that of z_j^r is the same with a, b swapped and -delta for delta.
         """
         if i == j:
             raise ValueError("rewrite is only for distinct indices")
-        key = (i, a, j, b)
-        hit = self._rw_cache.get(key)
-        if hit is not None:
-            return hit
+        one = Scalar.one(self.field)
         if a == 0:
-            out = {(j, b): Scalar.one(self.field)} if b else {}
-        elif b == 0:
-            out = {(i, a): Scalar.one(self.field)}
-        else:
-            alpha = (self.centers[i] - self.centers[j]).inverse()
-            beta = -alpha
-            out: dict = {}
-            for (k, n), c in self.rewrite(i, a, j, b - 1).items():
-                out[(k, n)] = out.get((k, n), Scalar.zero(self.field)) + alpha * c
-            for (k, n), c in self.rewrite(i, a - 1, j, b).items():
-                out[(k, n)] = out.get((k, n), Scalar.zero(self.field)) + beta * c
-            out = {kn: c for kn, c in out.items() if not c.is_zero()}
-        self._rw_cache[key] = out
+            return {(j, b): one} if b else {}
+        if b == 0:
+            return {(i, a): one}
+        out: dict = {}
+        delta = self.centers[i] - self.centers[j]
+        for k, x, y, d in ((i, a, b, delta), (j, b, a, -delta)):
+            inv = d.inverse()
+            p = inv ** y  # delta^-(x+y-r) at r = x
+            for r in range(x, 0, -1):
+                c = comb(x + y - r - 1, x - r)
+                out[(k, r)] = Scalar.of(self.field, c if (x - r) % 2 == 0 else -c) * p
+                p = p * inv
         return out
 
     def rewrite_ints(self, i: int, a: int, j: int, b: int) -> tuple:
@@ -340,15 +342,19 @@ class _TransferTable:
 
 
 class _SeriesAcc:
-    """Mutable common-denominator accumulator for one coefficient series."""
+    """Mutable common-denominator accumulator for one coefficient series.
 
-    __slots__ = ("field", "prec", "den", "comps")
+    It keeps the layout of ``TruncSeries`` (``den``, ``_c``, ``prec``), so
+    one accumulator can be added into another like a series.
+    """
+
+    __slots__ = ("field", "prec", "den", "_c")
 
     def __init__(self, field: FieldDescriptor, prec: int):
         self.field = field
         self.prec = prec
         self.den = 1
-        self.comps = [[0] * prec for _ in range(field.dim)]
+        self._c = [[0] * prec for _ in range(field.dim)]
 
     def _merge_den(self, tden: int) -> int:
         if tden == self.den:
@@ -357,16 +363,16 @@ class _SeriesAcc:
         new_den = self.den // g * tden
         f_self = new_den // self.den
         if f_self != 1:
-            for comp in self.comps:
+            for comp in self._c:
                 for n in range(self.prec):
                     if comp[n]:
                         comp[n] *= f_self
         self.den = new_den
         return new_den // tden
 
-    def add(self, ts: TruncSeries, num: int = 1, den: int = 1) -> None:
-        f = self._merge_den(ts.den * den) * num
-        for comp, src in zip(self.comps, ts._c):
+    def add(self, ts: TruncSeries) -> None:
+        f = self._merge_den(ts.den)
+        for comp, src in zip(self._c, ts._c):
             for n in range(min(self.prec, ts.prec)):
                 x = src[n]
                 if x:
@@ -376,19 +382,20 @@ class _SeriesAcc:
         nums, sden = _coords_to_ints(s.coords)
         self.add_ints(ts, nums, sden)
 
-    def add_ints(self, ts: TruncSeries, nums, sden: int) -> None:
+    def add_ints(self, ts, nums, sden: int) -> None:
+        """self += ts * nums/sden for a TruncSeries or _SeriesAcc ts."""
         f = self._merge_den(ts.den * sden)
         lim = min(self.prec, ts.prec)
         if self.field.dim == 1:
             a = nums[0] * f
-            comp, src = self.comps[0], ts._c[0]
+            comp, src = self._c[0], ts._c[0]
             for n in range(lim):
                 x = src[n]
                 if x:
                     comp[n] += a * x
         else:
             a, b = nums[0] * f, nums[1] * f
-            re_t, im_t = self.comps
+            re_t, im_t = self._c
             re_s, im_s = ts._c
             for n in range(lim):
                 x, y = re_s[n], im_s[n]
@@ -401,13 +408,13 @@ class _SeriesAcc:
         f = self._merge_den(ts.den * den)
         lim = min(self.prec, ts.prec, len(nums[0]))
         if self.field.dim == 1:
-            comp, src, w = self.comps[0], ts._c[0], nums[0]
+            comp, src, w = self._c[0], ts._c[0], nums[0]
             for m in range(lo, lim):
                 x = src[m]
                 if x:
                     comp[m] += f * x * w[m]
         else:
-            re_t, im_t = self.comps
+            re_t, im_t = self._c
             re_s, im_s = ts._c
             re_w, im_w = nums
             for m in range(lo, lim):
@@ -418,10 +425,10 @@ class _SeriesAcc:
                     im_t[m] += a * y + b * x
 
     def is_zero(self) -> bool:
-        return all(not any(c) for c in self.comps)
+        return all(not any(c) for c in self._c)
 
     def result(self) -> TruncSeries:
-        return TruncSeries(self.field, self.prec, self.den, self.comps)
+        return TruncSeries(self.field, self.prec, self.den, self._c)
 
 
 # ---------------------------------------------------------------------------
@@ -679,24 +686,39 @@ class AnalyticElement:
 
 
 def ae_dot(pairs) -> AnalyticElement:
-    """Sum of products f*g over chart-aligned pairs in one accumulation pass.
+    """Sum of products f*g over pairs in one accumulation pass, in the chart
+    of the first factor.
 
     The workhorse behind element and matrix products: every partial product
-    lands directly in shared per-slot accumulators, so nothing is
-    re-canonicalized between summands.
+    lands in shared accumulators, so nothing is re-canonicalized between
+    summands.  A product on f0 or on a single index goes straight to its
+    slot.  A cross product z_i^a z_j^b (i < j) goes to cell (a, b) of a grid
+    kept per index pair, and after the last product each grid is reduced
+    once, from the highest a + b down: by
+
+        z_i^a z_j^b = alpha z_i^a z_j^(b-1) + beta z_i^(a-1) z_j^b,
+
+    with z_i z_j = alpha z_i + beta z_j, cell (a, b) adds alpha times itself
+    to (a, b - 1) and beta times itself to (a - 1, b), where (a, 0) is the
+    slot z_i^a and (0, b) the slot z_j^b.  That is two accumulator adds per
+    cell, where reducing each product by itself would take a + b.
     """
-    pairs = [(f, g if g.chart == f.chart else g.rebase(f.chart)) for f, g in pairs]
-    f0, g0 = pairs[0]
-    cfg = f0.cfg
-    chart = f0.chart
+    cfg = pairs[0][0].cfg
+    chart = pairs[0][0].chart
+
+    def align(h: AnalyticElement) -> AnalyticElement:
+        return h if h.chart == chart else h.rebase(chart)
+
+    pairs = [(align(f), align(g)) for f, g in pairs]
     prec = min(min(f.precision, g.precision) for f, g in pairs)
     acc0 = _SeriesAcc(cfg.field, prec)
     acc: dict = {}
+    grids: dict = {}  # (i, j), i < j -> {(a, b): accumulator of z_i^a z_j^b}
 
-    def slot(k: int, n: int) -> _SeriesAcc:
-        a = acc.get((k, n))
+    def get(d: dict, key) -> _SeriesAcc:
+        a = d.get(key)
         if a is None:
-            a = acc[(k, n)] = _SeriesAcc(cfg.field, prec)
+            a = d[key] = _SeriesAcc(cfg.field, prec)
         return a
 
     for f, g in pairs:
@@ -706,18 +728,33 @@ def ae_dot(pairs) -> AnalyticElement:
             for k2, n2, s2, v2 in terms_g:
                 if v1 + v2 >= prec:
                     continue
+                # the t^(v1+v2) coefficient of the product is nonzero
                 prod = s1 * s2
-                if prod.is_zero():
-                    continue
                 if k1 is None and k2 is None:
                     acc0.add(prod)
                 elif k1 is None:
-                    slot(k2, n2).add(prod)
+                    get(acc, (k2, n2)).add(prod)
                 elif k2 is None or k1 == k2:
-                    slot(k1, n1 + (n2 if k2 is not None else 0)).add(prod)
+                    get(acc, (k1, n1 + n2)).add(prod)
+                elif k1 < k2:
+                    get(grids.setdefault((k1, k2), {}), (n1, n2)).add(prod)
                 else:
-                    for kn, nums, den in cfg.rewrite_ints(k1, n1, k2, n2):
-                        slot(*kn).add_ints(prod, nums, den)
+                    get(grids.setdefault((k2, k1), {}), (n2, n1)).add(prod)
+    for (i, j), grid in grids.items():
+        w = {kn: (nums, den) for kn, nums, den in cfg.rewrite_ints(i, 1, j, 1)}
+        alpha, beta = w[(i, 1)], w[(j, 1)]
+
+        def cell(a: int, b: int) -> _SeriesAcc:
+            return get(acc, (j, b)) if a == 0 else get(acc, (i, a)) if b == 0 else get(grid, (a, b))
+
+        top_a = max(a for a, _b in grid)
+        top_b = max(b for _a, b in grid)
+        for s in range(top_a + top_b, 1, -1):
+            for a in range(max(1, s - top_b), min(s - 1, top_a) + 1):
+                q = grid.get((a, s - a))
+                if q is not None:
+                    cell(a, s - a - 1).add_ints(q, *alpha)
+                    cell(a - 1, s - a).add_ints(q, *beta)
     zc = {kn: a.result() for kn, a in acc.items() if not a.is_zero()}
     return AnalyticElement(cfg, chart, acc0.result(), zc)
 

@@ -424,15 +424,10 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
         b2 = cart.b2 * W
     b1 = cart.b1.shift_t(central)
 
-    mem = (_entry_memberships_localized(b1, J), _entry_memberships_localized(b2, {i}))
+    mem = (_entry_memberships(b1, J), _entry_memberships(b2, {i}))
     res_prec = min(b1.precision, b2.precision)
     notes = {"cleared_shift": e0, "det_order": e, "cut_det_order": e_p, "rounds": cart.rounds}
     return FactorizationResult(b1, b2, res_prec, mem, cart.rounds, notes)
-
-
-def _entry_memberships_localized(mat: PatchMatrix, J: Iterable[int]) -> bool:
-    J = frozenset(J)
-    return all(membership(x.body, J) for row in mat.rows for x in row)
 
 
 def _tdeg_cut(f: AnalyticElement, d: int) -> AnalyticElement:

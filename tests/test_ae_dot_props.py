@@ -1,0 +1,120 @@
+"""Laws of the product ``ae_dot``, over random configurations.
+
+Q and Q(i), two to five centers (integer or not), precision 4 to 24,
+z-degree up to 8, and factors of any valuation.  The last test bounds the
+work of one product by counting series products and accumulator adds.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patchalg.analytic import AnalyticElement, Configuration, _SeriesAcc, ae_dot, random_element
+from patchalg.oracle import OracleCache, oracle_of_element
+from patchalg.scalars import QQ, Scalar
+from patchalg.series import TruncSeries
+from test_rebase_props import QI, configurations
+
+
+@st.composite
+def factors(draw, count, max_zdeg=8):
+    """``count`` random canonical forms over one configuration, each in any chart."""
+    cfg = draw(configurations())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    out = []
+    for _ in range(count):
+        c = draw(st.sampled_from(list(cfg.indices)))
+        zdeg = draw(st.integers(1, max_zdeg))
+        f = random_element(cfg, rng, chart=c, max_zdeg=zdeg)
+        if cfg.field == QI:
+            g = random_element(cfg, rng, chart=c, max_zdeg=zdeg)
+            f = f + g.scale(Scalar.of(QI, 0, 1))
+        out.append(f.shift_t(draw(st.integers(0, 3))))
+    return out
+
+
+@settings(max_examples=40)
+@given(factors(2, max_zdeg=6))
+def test_product_agrees_with_oracle(fg):
+    f, g = fg
+    cache = OracleCache(f.cfg, 5, min(f.precision, 8))
+    of = oracle_of_element(f, f.chart, cache)
+    og = oracle_of_element(g, f.chart, cache)
+    assert of * og == oracle_of_element(f * g, f.chart, cache)
+
+
+@settings(max_examples=60)
+@given(factors(2))
+def test_product_commutes(fg):
+    f, g = fg
+    assert (g * f).rebase(f.chart) == f * g
+
+
+@settings(max_examples=30)
+@given(factors(3, max_zdeg=6))
+def test_product_associates(fgh):
+    f, g, h = fgh
+    assert (f * g) * h == f * (g * h)
+
+
+@settings(max_examples=40)
+@given(factors(6))
+def test_dot_is_sum_of_products(fs):
+    pairs = [(fs[0], fs[1]), (fs[2], fs[3]), (fs[4], fs[5])]
+    want = pairs[0][0] * pairs[0][1]
+    for f, g in pairs[1:]:
+        want = want + f * g
+    assert ae_dot(pairs) == want
+
+
+@settings(max_examples=40)
+@given(factors(2), st.data())
+def test_product_commutes_with_truncation(fg, data):
+    f, g = fg
+    m = data.draw(st.integers(1, f.precision))
+    assert (f * g).truncate(m) == f.truncate(m) * g.truncate(m)
+
+
+@settings(max_examples=40)
+@given(factors(2))
+def test_product_valuation_is_superadditive(fg):
+    f, g = fg
+    assert (f * g).valuation() >= f.valuation() + g.valuation()
+
+
+def test_cross_product_work_is_quadratic(monkeypatch):
+    """F(z_0) * G(z_1), both dense of degree d: d^2 series products, and the
+    cross terms cost at most three accumulator adds per cell."""
+    d = 12
+    cfg = Configuration(QQ, [0, 1, 2], 4)
+    rng = random.Random(5)
+
+    def dense(k):
+        zc = {(k, n): cfg.series([rng.randint(1, 9) for _ in range(4)]) for n in range(1, d + 1)}
+        return AnalyticElement.from_terms(cfg, 0, 0, zc)
+
+    F, G = dense(0), dense(1)
+    counts = {"mul": 0, "add": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted("mul", TruncSeries.__mul__))
+    for attr in ("add", "add_ints", "add_weighted"):
+        monkeypatch.setattr(_SeriesAcc, attr, counted("add", getattr(_SeriesAcc, attr)))
+    out = ae_dot([(F, G)])
+    monkeypatch.undo()
+    assert counts["mul"] == d * d
+    assert counts["add"] <= 3 * d * d + 2 * d
+
+    want = {}
+    for (_i, a), f in F.zc.items():
+        for (_j, b), g in G.zc.items():
+            for kn, c in cfg.rewrite(0, a, 1, b).items():
+                want[kn] = want[kn] + (f * g).scale(c) if kn in want else (f * g).scale(c)
+    assert out.f0.is_zero()
+    assert out.zc == {kn: s for kn, s in want.items() if not s.is_zero()}
