@@ -47,6 +47,7 @@ from .series import (
     RegularityError,
     TruncSeries,
     _coords_to_ints,
+    mul_into,
     poly_simple_root,
 )
 
@@ -345,7 +346,9 @@ class _SeriesAcc:
     """Mutable common-denominator accumulator for one coefficient series.
 
     It keeps the layout of ``TruncSeries`` (``den``, ``_c``, ``prec``), so
-    one accumulator can be added into another like a series.
+    one accumulator can be added into another like a series, and products
+    are convolved into it by ``series.mul_into``.  Its denominator may grow
+    past the lowest one mid-sum; ``result`` normalizes.
     """
 
     __slots__ = ("field", "prec", "den", "_c")
@@ -370,13 +373,11 @@ class _SeriesAcc:
         self.den = new_den
         return new_den // tden
 
-    def add(self, ts: TruncSeries) -> None:
-        f = self._merge_den(ts.den)
-        for comp, src in zip(self._c, ts._c):
-            for n in range(min(self.prec, ts.prec)):
-                x = src[n]
-                if x:
-                    comp[n] += f * x
+    def add_product(self, x: TruncSeries, y: TruncSeries) -> None:
+        """self += x*y mod t^prec; both factors must be at least as precise."""
+        if x.prec < self.prec or y.prec < self.prec:
+            raise ValueError("factor less precise than the accumulator")
+        mul_into(self._c, x._c, y._c, self.prec, self._merge_den(x.den * y.den))
 
     def add_scaled(self, ts: TruncSeries, s: Scalar) -> None:
         nums, sden = _coords_to_ints(s.coords)
@@ -689,9 +690,10 @@ def ae_dot(pairs) -> AnalyticElement:
     """Sum of products f*g over pairs in one accumulation pass, in the chart
     of the first factor.
 
-    The workhorse behind element and matrix products: every partial product
-    lands in shared accumulators, so nothing is re-canonicalized between
-    summands.  A product on f0 or on a single index goes straight to its
+    The workhorse behind element and matrix products: every series product
+    is convolved straight into a shared accumulator (``add_product``), so no
+    product is built as a series of its own and nothing is re-canonicalized
+    between summands.  A product on f0 or on a single index goes to its
     slot.  A cross product z_i^a z_j^b (i < j) goes to cell (a, b) of a grid
     kept per index pair, and after the last product each grid is reduced
     once, from the highest a + b down: by
@@ -728,18 +730,17 @@ def ae_dot(pairs) -> AnalyticElement:
             for k2, n2, s2, v2 in terms_g:
                 if v1 + v2 >= prec:
                     continue
-                # the t^(v1+v2) coefficient of the product is nonzero
-                prod = s1 * s2
                 if k1 is None and k2 is None:
-                    acc0.add(prod)
+                    a = acc0
                 elif k1 is None:
-                    get(acc, (k2, n2)).add(prod)
+                    a = get(acc, (k2, n2))
                 elif k2 is None or k1 == k2:
-                    get(acc, (k1, n1 + n2)).add(prod)
+                    a = get(acc, (k1, n1 + n2))
                 elif k1 < k2:
-                    get(grids.setdefault((k1, k2), {}), (n1, n2)).add(prod)
+                    a = get(grids.setdefault((k1, k2), {}), (n1, n2))
                 else:
-                    get(grids.setdefault((k2, k1), {}), (n2, n1)).add(prod)
+                    a = get(grids.setdefault((k2, k1), {}), (n2, n1))
+                a.add_product(s1, s2)
     for (i, j), grid in grids.items():
         w = {kn: (nums, den) for kn, nums, den in cfg.rewrite_ints(i, 1, j, 1)}
         alpha, beta = w[(i, 1)], w[(j, 1)]
@@ -1201,7 +1202,7 @@ class _EpsPoly:
     def __mul__(self, other: "_EpsPoly") -> "_EpsPoly":
         field, prec = self._field_prec()
         lim = min(self.budget, len(self.coeffs) + len(other.coeffs) - 1)
-        out = [TruncSeries.zero(field, prec) for _ in range(lim)]
+        out = [_SeriesAcc(field, prec) for _ in range(lim)]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -1209,8 +1210,8 @@ class _EpsPoly:
                 if i + j >= lim:
                     break
                 if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return _EpsPoly(out, self.budget)
+                    out[i + j].add_product(a, b)
+        return _EpsPoly([o.result() for o in out], self.budget)
 
     def scale_series(self, s: TruncSeries) -> "_EpsPoly":
         return _EpsPoly([c * s for c in self.coeffs], self.budget)

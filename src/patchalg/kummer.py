@@ -40,7 +40,7 @@ from .analytic import (
     weierstrass_prepare_linear,
 )
 from .scalars import FieldError, Scalar, cyclotomic_field, root_of_unity
-from .series import BivarSeries, TruncSeries, prime_valuation as bivar_prime_valuation
+from .series import BivarSeries, prime_valuation as bivar_prime_valuation
 
 __all__ = [
     "ScenarioError",
@@ -49,10 +49,8 @@ __all__ = [
     "Scenario",
     "build_scenario",
     "lift_configuration",
-    "lift_element",
     "KummerExtension",
     "KummerElement",
-    "kummer_mul",
     "galois_act",
     "norm",
     "ext_valuation",
@@ -61,7 +59,6 @@ __all__ = [
     "BiRadicalGrid",
     "grid_norm_identity",
     "quaternion_mul",
-    "quaternion_conj",
     "quaternion_norm",
 ]
 
@@ -225,19 +222,6 @@ def lift_configuration(cfg: Configuration) -> Configuration:
     return Configuration(F2, centers, cfg.precision)
 
 
-def lift_element(f: AnalyticElement, cfg2: Configuration) -> AnalyticElement:
-    if f.cfg.field == cfg2.field:
-        return f
-
-    def lift_series(s: TruncSeries) -> TruncSeries:
-        comps = [list(s._c[0]), [0] * s.prec]
-        return TruncSeries(cfg2.field, s.prec, s.den, comps)
-
-    return AnalyticElement(
-        cfg2, f.chart, lift_series(f.f0), {kn: lift_series(s) for kn, s in f.zc.items()}
-    )
-
-
 def lift_scenario(sc: Scenario) -> Scenario:
     if sc.cfg.field.dim != 1:
         return sc
@@ -322,15 +306,6 @@ class KummerElement:
     def __init__(self, ext: KummerExtension, coords: tuple):
         self.ext = ext
         self.coords = coords
-
-    @property
-    def ext_degree(self) -> int:
-        return self.ext.degree
-
-    @property
-    def a_ref(self) -> _Coord:
-        """The radicand of the hosting extension."""
-        return self.ext.radicand
 
     def _check(self, other: "KummerElement"):
         if self.ext is not other.ext and (
@@ -437,23 +412,6 @@ class KummerElement:
         if best is None:
             raise ValueError("element is zero at this precision")
         return best
-
-    def materialized_coords(self) -> tuple:
-        """Plain localized coordinates (clears u2 powers by inversion)."""
-        out = []
-        for c in self.coords:
-            e = c.elem
-            if c.u2pow:
-                inv = unit_invert(LocalizedElement.of(self.ext.u2))
-                for _ in range(c.u2pow):
-                    e = e * inv
-            out.append(e)
-        return tuple(out)
-
-
-def kummer_mul(x: KummerElement, y: KummerElement) -> KummerElement:
-    return x * y
-
 
 def galois_act(l: int, x: KummerElement) -> KummerElement:
     return x.galois(l)
@@ -761,11 +719,6 @@ def quaternion_mul(x: Sequence, y: Sequence, a, b) -> tuple:
         x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
         x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
     )
-
-
-def quaternion_conj(x: Sequence) -> tuple:
-    x0, x1, x2, x3 = x
-    return (x0, -x1, -x2, -x3)
 
 
 def quaternion_norm(x: Sequence, a, b):

@@ -13,6 +13,12 @@ Internally a series keeps one common integer denominator and per-component
 integer coefficient vectors (two components for the order-4 cyclotomic
 field, one otherwise).  That keeps the inner loops in machine integers; the
 ``Scalar`` view is materialized on demand and is exact either way.
+
+Every product of ``TruncSeries`` goes through one kernel, ``mul_into``,
+which adds scale * x * y into per-component integer lists: over Q(i) it is
+four signed calls of one sparse convolution.  ``TruncSeries.__mul__`` runs
+it on fresh zero lists; the accumulators of ``analytic`` run it straight
+into their own lists, so a sum of products builds no intermediate series.
 """
 
 from __future__ import annotations
@@ -72,14 +78,36 @@ def _normalize(den: int, comps: list[list[int]]) -> tuple[int, tuple]:
     return den, tuple(tuple(comp) for comp in comps)
 
 
-def _conv(a: Sequence[int], b: Sequence[int], prec: int) -> list[int]:
-    out = [0] * prec
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bj in zip(range(i, prec), b):
-                if bj:
-                    out[k] += ai * bj
-    return out
+def _conv_into(out: list[int], x: Sequence[int], y: Sequence[int], prec: int, scale: int) -> None:
+    """out[k] += scale * sum_{i+j=k} x[i]*y[j] for k < prec, skipping zeros of x and y."""
+    ys = [(j, b) for j, b in enumerate(y[:prec]) if b]
+    if not ys:
+        return
+    for i, a in enumerate(x[:prec]):
+        if a:
+            a *= scale
+            lim = prec - i
+            for j, b in ys:
+                if j >= lim:
+                    break
+                out[i + j] += a * b
+
+
+def mul_into(out: list[list[int]], x, y, prec: int, scale: int = 1) -> None:
+    """out += scale * x * y mod t^prec, in per-component integer lists.
+
+    out, x and y use the ``_c`` layout of ``TruncSeries``: one integer list
+    per component, one component over Q and (re, im) over Q(i), all scaled
+    to their own denominators, which the caller accounts for in ``scale``.
+    """
+    if len(out) == 1:
+        _conv_into(out[0], x[0], y[0], prec, scale)
+    else:
+        (re, im), (x_re, x_im), (y_re, y_im) = out, x, y
+        _conv_into(re, x_re, y_re, prec, scale)
+        _conv_into(re, x_im, y_im, prec, -scale)
+        _conv_into(im, x_re, y_im, prec, scale)
+        _conv_into(im, x_im, y_re, prec, scale)
 
 
 class TruncSeries:
@@ -220,20 +248,9 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         prec = self._common(other)
-        den = self.den * other.den
-        if self.field.dim == 1:
-            comps = [_conv(self._c[0], other._c[0], prec)]
-        else:
-            a_re, a_im = self._c
-            b_re, b_im = other._c
-            re = _conv(a_re, b_re, prec)
-            for k, x in enumerate(_conv(a_im, b_im, prec)):
-                re[k] -= x
-            im = _conv(a_re, b_im, prec)
-            for k, x in enumerate(_conv(a_im, b_re, prec)):
-                im[k] += x
-            comps = [re, im]
-        return TruncSeries(self.field, prec, den, comps)
+        comps = [[0] * prec for _ in self._c]
+        mul_into(comps, self._c, other._c, prec)
+        return TruncSeries(self.field, prec, self.den * other.den, comps)
 
     def scale(self, s: Scalar) -> "TruncSeries":
         if s.field != self.field:
