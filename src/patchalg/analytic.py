@@ -49,6 +49,7 @@ from .series import (
     _coords_to_ints,
     mul_into,
     poly_simple_root,
+    terms,
 )
 
 __all__ = [
@@ -373,11 +374,22 @@ class _SeriesAcc:
         self.den = new_den
         return new_den // tden
 
-    def add_product(self, x: TruncSeries, y: TruncSeries) -> None:
-        """self += x*y mod t^prec; both factors must be at least as precise."""
+    def add_product(self, x: TruncSeries, y: TruncSeries,
+                    xt: Optional[list] = None, yt: Optional[list] = None) -> None:
+        """self += x*y mod t^prec; both factors must be at least as precise.
+
+        xt and yt are the factors' ``series.terms``, for a caller that
+        multiplies one series by many and lists its terms once.
+        """
         if x.prec < self.prec or y.prec < self.prec:
             raise ValueError("factor less precise than the accumulator")
-        mul_into(self._c, x._c, y._c, self.prec, self._merge_den(x.den * y.den))
+        mul_into(
+            self._c,
+            terms(x._c) if xt is None else xt,
+            terms(y._c) if yt is None else yt,
+            self.prec,
+            self._merge_den(x.den * y.den),
+        )
 
     def add_scaled(self, ts: TruncSeries, s: Scalar) -> None:
         nums, sden = _coords_to_ints(s.coords)
@@ -724,10 +736,11 @@ def ae_dot(pairs) -> AnalyticElement:
         return a
 
     for f, g in pairs:
-        terms_g = [(k2, n2, s2, s2.vt()) for k2, n2, s2 in g._term_list()]
+        terms_g = [(k2, n2, s2, s2.vt(), terms(s2._c)) for k2, n2, s2 in g._term_list()]
         for k1, n1, s1 in f._term_list():
             v1 = s1.vt()
-            for k2, n2, s2, v2 in terms_g:
+            t1 = terms(s1._c)
+            for k2, n2, s2, v2, t2 in terms_g:
                 if v1 + v2 >= prec:
                     continue
                 if k1 is None and k2 is None:
@@ -740,7 +753,7 @@ def ae_dot(pairs) -> AnalyticElement:
                     a = get(grids.setdefault((k1, k2), {}), (n1, n2))
                 else:
                     a = get(grids.setdefault((k2, k1), {}), (n2, n1))
-                a.add_product(s1, s2)
+                a.add_product(s1, s2, t1, t2)
     for (i, j), grid in grids.items():
         w = {kn: (nums, den) for kn, nums, den in cfg.rewrite_ints(i, 1, j, 1)}
         alpha, beta = w[(i, 1)], w[(j, 1)]
@@ -1119,7 +1132,9 @@ class PrimePoint:
 
     The substitution sends z_j to lambda + eps and, for other indices k in
     the ring support, z_k to (lambda+eps)/(1 + (c_j - c_k)(lambda+eps));
-    construction fails if any of those denominators is a non-unit.
+    construction fails if any of those denominators is a non-unit.  The
+    images of the powers z_k^n are cached per eps budget as they are asked
+    for, so repeated valuations at one point substitute without products.
     """
 
     __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst")
@@ -1149,11 +1164,22 @@ class PrimePoint:
     def __repr__(self) -> str:
         return f"PrimePoint({self.label}: z{self.chart} - lambda, support={sorted(self.ring_support)})"
 
-    def _image(self, k: int, budget: int) -> "_EpsPoly":
-        key = (k, budget)
+    def _image(self, k: int, n: int, budget: int) -> "_EpsPoly":
+        """The image of z_k^n, eps-truncated at ``budget``: image(k, n - 1)
+        times image(k, 1) for n > 1."""
+        key = (k, n, budget)
         hit = self._subst.get(key)
         if hit is not None:
             return hit
+        if n > 1:
+            base = self._image(k, 1, budget)
+            m = n - 1
+            while (k, m, budget) not in self._subst:
+                m -= 1
+            out = self._subst[(k, m, budget)]
+            for e in range(m + 1, n + 1):
+                out = self._subst[(k, e, budget)] = out * base
+            return out
         cfg = self.cfg
         prec = self.lam.prec
         lam_plus = _EpsPoly([self.lam, cfg.one_series(prec)], budget)
@@ -1203,14 +1229,14 @@ class _EpsPoly:
         field, prec = self._field_prec()
         lim = min(self.budget, len(self.coeffs) + len(other.coeffs) - 1)
         out = [_SeriesAcc(field, prec) for _ in range(lim)]
-        for i, a in enumerate(self.coeffs):
+        right = [(b, terms(b._c)) for b in other.coeffs[:lim]]
+        for i, a in enumerate(self.coeffs[:lim]):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= lim:
-                    break
-                if not b.is_zero():
-                    out[i + j].add_product(a, b)
+            ta = terms(a._c)
+            for j, (b, tb) in enumerate(right[: lim - i]):
+                if tb:
+                    out[i + j].add_product(a, b, ta, tb)
         return _EpsPoly([o.result() for o in out], self.budget)
 
     def scale_series(self, s: TruncSeries) -> "_EpsPoly":
@@ -1307,28 +1333,14 @@ def prime_point_valuation(x, pt: PrimePoint, budget: Optional[int] = None) -> in
         )
     B = budget or body.precision
     acc = _EpsPoly.const(body.f0, B)
-    pows: dict = {}
     for k, n, s in body.terms():
-        img = pows.get((k, n))
-        if img is None:
-            base = pt._image(k, B)
-            img = pows.get((k, n - 1))
-            img = base if n == 1 else (img * base if img is not None else _pow_eps(base, n))
-            pows[(k, n)] = img
-        acc = acc + img.scale_series(s)
+        acc = acc + pt._image(k, n, B).scale_series(s)
     e = acc.order()
     if e == INF:
         raise ValueError(
             "order exceeds the eps budget (or the element vanishes at this precision)"
         )
     return e
-
-
-def _pow_eps(base: "_EpsPoly", n: int) -> "_EpsPoly":
-    out = base
-    for _ in range(n - 1):
-        out = out * base
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ config and seed up to the per-case timing fields.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import sys
 from dataclasses import dataclass, field
 
@@ -20,6 +22,7 @@ from .suites import SUITE_NAMES, run_suites
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
 
 SCHEMA_VERSION = 1
+PROFILE_LINES = 30  # functions listed by --profile
 
 
 class ConfigError(ValueError):
@@ -142,6 +145,9 @@ def main(argv=None) -> int:
     ap.add_argument("--tamper-b", action="store_true",
                     help="debug: replace b by b^2 in the certificate suite")
     ap.add_argument("--verbose", action="store_true")
+    ap.add_argument("--profile", action="store_true",
+                    help="print a cProfile summary of the run (top functions by "
+                         "cumulative time) to stderr; the report is unchanged")
     args = ap.parse_args(argv)
 
     try:
@@ -162,7 +168,12 @@ def main(argv=None) -> int:
             rc.tamper_b = True
         if args.verbose:
             rc.verbose = True
-        report, code = run(rc)
+        if args.profile:
+            prof = cProfile.Profile()
+            report, code = prof.runcall(run, rc)
+            pstats.Stats(prof, stream=sys.stderr).sort_stats("cumulative").print_stats(PROFILE_LINES)
+        else:
+            report, code = run(rc)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

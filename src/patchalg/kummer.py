@@ -246,6 +246,22 @@ class _Coord:
     def is_zero(self) -> bool:
         return self.elem.is_zero()
 
+    def lifted(self, power: int, u2) -> LocalizedElement:
+        """The numerator over u2^power (power >= self.u2pow)."""
+        e = self.elem
+        for _ in range(power - self.u2pow):
+            e = e * LocalizedElement.of(u2)
+        return e
+
+    def plus(self, other: "_Coord", u2) -> "_Coord":
+        """The sum, over the larger of the two u2 powers."""
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        p = max(self.u2pow, other.u2pow)
+        return _Coord(self.lifted(p, u2) + other.lifted(p, u2), p)
+
 
 @dataclass
 class KummerExtension:
@@ -316,25 +332,11 @@ class KummerElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
-    def _coord_add(self, c1: _Coord, c2: _Coord) -> _Coord:
-        if c1.is_zero():
-            return c2
-        if c2.is_zero():
-            return c1
-        p = max(c1.u2pow, c2.u2pow)
-        e1, e2 = c1.elem, c2.elem
-        u2 = self.ext.u2
-        for _ in range(p - c1.u2pow):
-            e1 = e1 * LocalizedElement.of(u2)
-        for _ in range(p - c2.u2pow):
-            e2 = e2 * LocalizedElement.of(u2)
-        return _Coord(e1 + e2, p)
-
     def __add__(self, other: "KummerElement") -> "KummerElement":
         self._check(other)
         return KummerElement(
             self.ext,
-            tuple(self._coord_add(a, b) for a, b in zip(self.coords, other.coords)),
+            tuple(a.plus(b, self.ext.u2) for a, b in zip(self.coords, other.coords)),
         )
 
     def __neg__(self) -> "KummerElement":
@@ -360,7 +362,7 @@ class KummerElement:
                 if n >= q:
                     n -= q
                     prod = _Coord(prod.elem * rad.elem, prod.u2pow + rad.u2pow)
-                out[n] = self._coord_add(out[n], prod)
+                out[n] = out[n].plus(prod, self.ext.u2)
         return KummerElement(self.ext, tuple(out))
 
     def scale(self, s) -> "KummerElement":
@@ -386,11 +388,30 @@ class KummerElement:
         return KummerElement(self.ext, tuple(out))
 
     def norm(self) -> _Coord:
-        """Product of all Galois conjugates; lands in the base (verified)."""
+        """Product of all Galois conjugates; lands in the base (verified).
+
+        Computed down the tower of fixed fields: for step = q/2, q/4, ..., 1,
+        acc <- acc * sigma^step(acc).  After a step acc is the norm from the
+        extension down to the fixed field of sigma^step, which is spanned by
+        the powers alpha^n with step | n; every other coordinate must vanish
+        exactly, or ArithmeticError is raised.  After the last step all
+        higher coordinates must vanish.  For q = 4 that is two products, the
+        second on coordinates 0 and 2 only, against three generic ones for
+        x * sigma(x) * sigma^2(x) * sigma^3(x).
+        """
+        q = self.ext.degree
         acc = self
-        for l in range(1, self.ext.degree):
-            acc = acc * self.galois(l)
-        for n in range(1, self.ext.degree):
+        step = q // 2
+        while step:
+            acc = acc * acc.galois(step)
+            for n in range(q):
+                if n % step and not acc.coords[n].is_zero():
+                    raise ArithmeticError(
+                        f"norm to the fixed field of sigma^{step} has a nonzero "
+                        f"coordinate {n} (internal inconsistency)"
+                    )
+            step //= 2
+        for n in range(1, q):
             if not acc.coords[n].is_zero():
                 raise ArithmeticError(
                     "norm has a nonzero higher coordinate (internal inconsistency)"
@@ -623,19 +644,6 @@ class BiRadicalGrid:
     def _coord_mul(self, c1: _Coord, c2: _Coord) -> _Coord:
         return _Coord(c1.elem * c2.elem, c1.u2pow + c2.u2pow)
 
-    def _coord_add(self, c1: _Coord, c2: _Coord) -> _Coord:
-        if c1.is_zero():
-            return c2
-        if c2.is_zero():
-            return c1
-        p = max(c1.u2pow, c2.u2pow)
-        e1, e2 = c1.elem, c2.elem
-        for _ in range(p - c1.u2pow):
-            e1 = e1 * LocalizedElement.of(self.sc.u2)
-        for _ in range(p - c2.u2pow):
-            e2 = e2 * LocalizedElement.of(self.sc.u2)
-        return _Coord(e1 + e2, p)
-
     def mul(self, x: dict, y: dict) -> dict:
         out = {(u, v): self.zero for u in range(self.q) for v in range(self.qp)}
         for (u1, v1), c1 in x.items():
@@ -652,7 +660,7 @@ class BiRadicalGrid:
                 if v >= self.qp:
                     v -= self.qp
                     c = self._coord_mul(c, self.rad_v)
-                out[(u, v)] = self._coord_add(out[(u, v)], c)
+                out[(u, v)] = out[(u, v)].plus(c, self.sc.u2)
         return out
 
     def power(self, x: dict, e: int) -> dict:
@@ -662,12 +670,8 @@ class BiRadicalGrid:
         return out
 
     def coords_equal(self, c1: _Coord, c2: _Coord) -> bool:
-        e1, e2 = c1.elem, c2.elem
-        for _ in range(max(0, c2.u2pow - c1.u2pow)):
-            e1 = e1 * LocalizedElement.of(self.sc.u2)
-        for _ in range(max(0, c1.u2pow - c2.u2pow)):
-            e2 = e2 * LocalizedElement.of(self.sc.u2)
-        return e1.equals(e2)
+        p = max(c1.u2pow, c2.u2pow)
+        return c1.lifted(p, self.sc.u2).equals(c2.lifted(p, self.sc.u2))
 
     def is_base_constant(self, x: dict, value: _Coord) -> bool:
         for key, c in x.items():

@@ -15,10 +15,11 @@ field, one otherwise).  That keeps the inner loops in machine integers; the
 ``Scalar`` view is materialized on demand and is exact either way.
 
 Every product of ``TruncSeries`` goes through one kernel, ``mul_into``,
-which adds scale * x * y into per-component integer lists: over Q(i) it is
-four signed calls of one sparse convolution.  ``TruncSeries.__mul__`` runs
-it on fresh zero lists; the accumulators of ``analytic`` run it straight
-into their own lists, so a sum of products builds no intermediate series.
+which adds scale * x * y into per-component integer lists, running over the
+nonzero terms of both factors (``terms``).  ``TruncSeries.__mul__`` runs it
+on fresh zero lists; the accumulators of ``analytic`` run it straight into
+their own lists, so a sum of products builds no intermediate series, and a
+caller that multiplies one series by many lists its terms once.
 """
 
 from __future__ import annotations
@@ -78,36 +79,48 @@ def _normalize(den: int, comps: list[list[int]]) -> tuple[int, tuple]:
     return den, tuple(tuple(comp) for comp in comps)
 
 
-def _conv_into(out: list[int], x: Sequence[int], y: Sequence[int], prec: int, scale: int) -> None:
-    """out[k] += scale * sum_{i+j=k} x[i]*y[j] for k < prec, skipping zeros of x and y."""
-    ys = [(j, b) for j, b in enumerate(y[:prec]) if b]
-    if not ys:
-        return
-    for i, a in enumerate(x[:prec]):
-        if a:
-            a *= scale
-            lim = prec - i
-            for j, b in ys:
-                if j >= lim:
-                    break
-                out[i + j] += a * b
+def terms(comps) -> list:
+    """Nonzero terms of a ``_c`` layout in order of t-degree: (n, a) over Q,
+    (n, re, im) over Q(i)."""
+    if len(comps) == 1:
+        return [(n, a) for n, a in enumerate(comps[0]) if a]
+    re, im = comps
+    return [(n, a, b) for n, (a, b) in enumerate(zip(re, im)) if a or b]
 
 
-def mul_into(out: list[list[int]], x, y, prec: int, scale: int = 1) -> None:
+def mul_into(out: list[list[int]], xt: list, yt: list, prec: int, scale: int = 1) -> None:
     """out += scale * x * y mod t^prec, in per-component integer lists.
 
-    out, x and y use the ``_c`` layout of ``TruncSeries``: one integer list
-    per component, one component over Q and (re, im) over Q(i), all scaled
-    to their own denominators, which the caller accounts for in ``scale``.
+    out uses the ``_c`` layout of ``TruncSeries``: one integer list per
+    component, one over Q and (re, im) over Q(i).  x and y come as their
+    nonzero ``terms``, scaled to their own denominators, which the caller
+    accounts for in ``scale``.  Every product of a left and a right term
+    below t^prec is made once; over Q(i) it is one complex product.
     """
     if len(out) == 1:
-        _conv_into(out[0], x[0], y[0], prec, scale)
+        comp = out[0]
+        for i, a in xt:
+            lim = prec - i
+            if lim <= 0:
+                break
+            a *= scale
+            for j, b in yt:
+                if j >= lim:
+                    break
+                comp[i + j] += a * b
     else:
-        (re, im), (x_re, x_im), (y_re, y_im) = out, x, y
-        _conv_into(re, x_re, y_re, prec, scale)
-        _conv_into(re, x_im, y_im, prec, -scale)
-        _conv_into(im, x_re, y_im, prec, scale)
-        _conv_into(im, x_im, y_re, prec, scale)
+        re, im = out
+        for i, a, b in xt:
+            lim = prec - i
+            if lim <= 0:
+                break
+            a *= scale
+            b *= scale
+            for j, c, d in yt:
+                if j >= lim:
+                    break
+                re[i + j] += a * c - b * d
+                im[i + j] += a * d + b * c
 
 
 class TruncSeries:
@@ -249,7 +262,7 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         prec = self._common(other)
         comps = [[0] * prec for _ in self._c]
-        mul_into(comps, self._c, other._c, prec)
+        mul_into(comps, terms(self._c), terms(other._c), prec)
         return TruncSeries(self.field, prec, self.den * other.den, comps)
 
     def scale(self, s: Scalar) -> "TruncSeries":

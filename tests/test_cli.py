@@ -91,6 +91,18 @@ def test_main_duplicate_centers_exit_2(tmp_path, capsys):
     assert "centers must be distinct" in err
 
 
+def test_main_profile_flag(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code = main(["--suite", "certificate", "--profile", "--output", str(out_path)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "Ordered by: cumulative time" in err
+    assert "certify_division_algebra" in err
+    report = json.loads(out_path.read_text())
+    plain, _ = run(RunConfig(suites=["certificate"]))
+    assert strip_timing(report) == strip_timing(plain)
+
+
 def test_main_tamper_flag_exit_1(tmp_path):
     out_path = tmp_path / "report.json"
     code = main(["--suite", "certificate", "--tamper-b", "--output", str(out_path)])

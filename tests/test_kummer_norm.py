@@ -1,0 +1,118 @@
+"""Laws of the Kummer norm ``KummerElement.norm``, which multiplies down the
+tower of fixed fields.
+
+Over Q(i), in degrees 2 and 4, with the radicand r'/u2 (u2 power 1) of the
+kummer-qi benchmark set-up and random coordinates, some of them zero.  The
+reference is the product of all q conjugates, written out here.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import patchalg.analytic as analytic
+from patchalg.analytic import Configuration
+from patchalg.kummer import KummerExtension, _Coord, build_scenario, random_ring_element
+from patchalg.scalars import Scalar, cyclotomic_field
+
+QI = cyclotomic_field(4)
+CFG = Configuration(QI, [0, 1, 2], 8)
+SC = build_scenario(CFG, 2, 1, 3, 2, 2)
+RING = frozenset(CFG.indices) - {SC.i}
+
+
+def extension(degree: int) -> KummerExtension:
+    return KummerExtension.create(CFG, SC.j, degree, SC.rp.rebase(SC.j),
+                                  u2=SC.u2, radicand_u2_power=1)
+
+
+EXT = {q: extension(q) for q in (2, 4)}
+
+
+@st.composite
+def elements(draw, count=1):
+    """``count`` elements of one extension, each coordinate zero or a random
+    ring element (a unit at the point, as in the kummer-qi requests)."""
+    ext = EXT[draw(st.sampled_from([2, 4]))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zero = analytic.AnalyticElement.zero(CFG, SC.j)
+    out = []
+    for _ in range(count):
+        mask = draw(st.lists(st.booleans(), min_size=ext.degree, max_size=ext.degree))
+        out.append(ext.element([random_ring_element(CFG, rng, RING, SC.j) if keep else zero
+                                for keep in mask]))
+    return out
+
+
+def conjugate_product(x):
+    """x * sigma(x) * ... * sigma^(q-1)(x), which must lie in the base."""
+    acc = x
+    for l in range(1, x.ext.degree):
+        acc = acc * x.galois(l)
+    assert all(c.is_zero() for c in acc.coords[1:])
+    return acc.coords[0]
+
+
+def same_value(c1, c2) -> bool:
+    p = max(c1.u2pow, c2.u2pow)
+    return c1.lifted(p, SC.u2).equals(c2.lifted(p, SC.u2))
+
+
+@settings(max_examples=30)
+@given(elements())
+def test_norm_is_the_product_of_all_conjugates(xs):
+    (x,) = xs
+    got, want = x.norm(), conjugate_product(x)
+    assert got.u2pow == want.u2pow
+    assert got.elem.tshift == want.elem.tshift
+    assert got.elem.body == want.elem.body
+
+
+@settings(max_examples=15)
+@given(elements(count=2))
+def test_norm_is_multiplicative(xy):
+    x, y = xy
+    nx, ny = x.norm(), y.norm()
+    product = _Coord(nx.elem * ny.elem, nx.u2pow + ny.u2pow)
+    assert same_value((x * y).norm(), product)
+
+
+@settings(max_examples=15)
+@given(elements())
+def test_norm_is_galois_invariant(xs):
+    (x,) = xs
+    for l in range(1, x.ext.degree):
+        assert same_value(x.galois(l).norm(), x.norm())
+
+
+def test_norm_rejects_a_non_primitive_root_of_unity():
+    """With zeta = -1 in degree 4, sigma^2 is the identity, so x * sigma^2(x)
+    is x^2, whose odd coordinates do not vanish."""
+    good = EXT[4]
+    bad = KummerExtension(CFG, SC.j, 4, Scalar.of(QI, -1), good.radicand, SC.u2)
+    rng = random.Random(7)
+    x = bad.element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(4)])
+    with pytest.raises(ArithmeticError, match="fixed field of sigma\\^2"):
+        x.norm()
+
+
+def test_dense_degree_four_norm_work(monkeypatch):
+    """Two tower products: 16 + 6 wrapped coordinate products for
+    x * sigma^2(x), 4 + 1 for the second step on coordinates 0 and 2, and
+    the u2 alignments; x * sigma(x) * sigma^2(x) * sigma^3(x) takes 80."""
+    rng = random.Random(11)
+    x = EXT[4].element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(4)])
+    calls = []
+    real = analytic.ae_dot
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(analytic, "ae_dot", counted)
+    got = x.norm()
+    monkeypatch.undo()
+    assert len(calls) <= 30
+    assert same_value(got, conjugate_product(x))

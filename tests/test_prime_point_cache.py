@@ -1,0 +1,86 @@
+"""The cache of substitution images on a ``PrimePoint``.
+
+``prime_point_valuation`` reads the image of every z_k^n from the point,
+keyed by (k, n, eps budget).  A point that has served many elements at
+several budgets must give the values a fresh point gives, and a repeated
+valuation must make no product of eps-polynomials.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patchalg.analytic import Configuration, PrimePoint, _EpsPoly, prime_point_valuation, random_element
+from patchalg.kummer import build_scenario
+from patchalg.scalars import cyclotomic_field
+
+CFG = Configuration(cyclotomic_field(4), [0, 1, 2], 8)
+SC = build_scenario(CFG, 2, 1, 3, 2, 2)
+WARM = SC.pt_r
+BUDGETS = (3, None)  # the small one first, so a cache blind to the budget shows
+
+
+def fresh_point() -> PrimePoint:
+    return PrimePoint(CFG, WARM.chart, WARM.lam, WARM.label, WARM.ring_support)
+
+
+def valuation(x, pt, budget):
+    try:
+        return prime_point_valuation(x, pt, budget)
+    except ValueError as exc:  # order past the budget
+        return str(exc)
+
+
+@st.composite
+def ring_elements(draw):
+    """A random element of z-degree up to 4 in the point's ring, times r^w
+    (w up to 3, so that some orders reach the small budget)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support),
+                       max_zdeg=draw(st.integers(1, 4)))
+    return x * SC.r ** draw(st.integers(0, 3))
+
+
+@settings(max_examples=40)
+@given(ring_elements())
+def test_warm_point_agrees_with_a_fresh_point(x):
+    for budget in BUDGETS:
+        assert valuation(x, WARM, budget) == valuation(x, fresh_point(), budget)
+
+
+def test_cached_images_match_fresh_ones():
+    """Every cached image, at either budget, is the one a fresh point builds;
+    images hit only past the small budget need the budget in the key."""
+    rng = random.Random(5)
+    pt = fresh_point()
+    for _ in range(4):
+        x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support), max_zdeg=4)
+        for budget in BUDGETS:
+            valuation(x, pt, budget)
+    assert {budget for _k, _n, budget in pt._subst} == {3, CFG.precision}
+    for (k, n, budget), img in pt._subst.items():
+        want = fresh_point()._image(k, n, budget)
+        assert (img.budget, img.coeffs) == (want.budget, want.coeffs)
+
+
+def test_repeated_valuation_makes_no_eps_product(monkeypatch):
+    rng = random.Random(3)
+    x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support), max_zdeg=4)
+    assert x.zdegree() == 4
+    pt = fresh_point()
+    calls = []
+    real = _EpsPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(_EpsPoly, "__mul__", counted)
+    first = [valuation(x, pt, b) for b in BUDGETS]
+    cold = len(calls)
+    again = [valuation(x, pt, b) for b in BUDGETS]
+    monkeypatch.undo()
+    assert cold > 0
+    assert again == first
+    assert len(calls) == cold
