@@ -583,7 +583,11 @@ class AnalyticElement:
         return AnalyticElement(self.cfg, self.chart, self.f0 + other.f0, zc)
 
     def __sub__(self, other: "AnalyticElement") -> "AnalyticElement":
-        return self + (-other)
+        other = self._aligned(other)
+        zc = dict(self.zc)
+        for kn, s in other.zc.items():
+            zc[kn] = zc[kn] - s if kn in zc else -s
+        return AnalyticElement(self.cfg, self.chart, self.f0 - other.f0, zc)
 
     def __neg__(self) -> "AnalyticElement":
         return AnalyticElement(
@@ -884,15 +888,19 @@ class LocalizedElement:
         other = LocalizedElement.of(other)
         return LocalizedElement(self.body * other.body, self.tshift + other.tshift)
 
-    def __add__(self, other) -> "LocalizedElement":
+    def _common_shift(self, other):
+        """(b1, b2, e) with self = t^e b1 and other = t^e b2."""
         other = LocalizedElement.of(other)
         e = min(self.tshift, other.tshift)
-        b1 = self.body.shift_t(self.tshift - e)
-        b2 = other.body.shift_t(other.tshift - e)
+        return self.body.shift_t(self.tshift - e), other.body.shift_t(other.tshift - e), e
+
+    def __add__(self, other) -> "LocalizedElement":
+        b1, b2, e = self._common_shift(other)
         return LocalizedElement(b1 + b2, e)
 
     def __sub__(self, other) -> "LocalizedElement":
-        return self + (-LocalizedElement.of(other))
+        b1, b2, e = self._common_shift(other)
+        return LocalizedElement(b1 - b2, e)
 
     def scale(self, s) -> "LocalizedElement":
         return LocalizedElement(self.body.scale(s), self.tshift)

@@ -51,9 +51,6 @@ __all__ = [
     "lift_configuration",
     "KummerExtension",
     "KummerElement",
-    "galois_act",
-    "norm",
-    "ext_valuation",
     "DivisionAlgebraCertificate",
     "certify_division_algebra",
     "BiRadicalGrid",
@@ -433,17 +430,6 @@ class KummerElement:
         if best is None:
             raise ValueError("element is zero at this precision")
         return best
-
-def galois_act(l: int, x: KummerElement) -> KummerElement:
-    return x.galois(l)
-
-
-def norm(x: KummerElement) -> _Coord:
-    return x.norm()
-
-
-def ext_valuation(x: KummerElement, pt: PrimePoint) -> int:
-    return x.valuation(pt)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ factor supported away from one index and a factor supported on it, by the
 classical contraction: split the deviation additively, peel unit factors on
 both sides, repeat on the conjugated residual.  Each round at least doubles
 the order of the residual, so the loop ends within the precision budget.
+The inverses of the peeled factors are Neumann series, summed one term at a
+time: the k-th term has order v + k v(m), so the product kernel's valuation
+skips drop more of each later product.
 
 `gl_factor` reduces the general (localized, invertible) case to the Cartan
 step: clear t-denominators, normalize the adjugate by the unit part of the
@@ -17,8 +20,8 @@ rejected with a "restricted pipeline" diagnostic rather than guessed at.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Iterable, Optional, Sequence
 
 from .analytic import (
@@ -87,8 +90,19 @@ class PatchMatrix:
         return min(x.valuation() for row in self.rows for x in row)
 
     def deviation(self) -> "PatchMatrix":
-        """self - identity."""
-        return self - PatchMatrix.identity(self.cfg, self.n, self.chart, self.precision)
+        """self - identity, at the matrix's precision: one comes off the
+        diagonal f0 only."""
+        cfg, prec = self.cfg, self.precision
+        rows = []
+        for i, row in enumerate(self.rows):
+            out = []
+            for j, x in enumerate(row):
+                e = min(x.tshift, 0)
+                body = x.body.shift_t(x.tshift - e)
+                f0 = body.f0 - cfg.t_series(-e, prec) if i == j else body.f0.truncate(prec)
+                out.append(LocalizedElement(AnalyticElement(cfg, self.chart, f0, body.zc), e))
+            rows.append(out)
+        return PatchMatrix(rows, self.chart)
 
     def equals(self, other: "PatchMatrix") -> bool:
         if self.n != other.n:
@@ -114,16 +128,18 @@ class PatchMatrix:
         if self.cfg != other.cfg:
             raise ValueError("configuration mismatch")
 
-    def __add__(self, other: "PatchMatrix") -> "PatchMatrix":
+    def _entrywise(self, other: "PatchMatrix", op) -> "PatchMatrix":
         self._check(other)
         o = other.rebase(self.chart)
         return PatchMatrix(
-            [[self.rows[i][j] + o.rows[i][j] for j in range(self.n)] for i in range(self.n)],
-            self.chart,
+            [[op(x, y) for x, y in zip(r, s)] for r, s in zip(self.rows, o.rows)], self.chart
         )
 
+    def __add__(self, other: "PatchMatrix") -> "PatchMatrix":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "PatchMatrix") -> "PatchMatrix":
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "PatchMatrix":
         return PatchMatrix([[-x for x in row] for row in self.rows], self.chart)
@@ -202,19 +218,26 @@ class PatchMatrix:
 
     def invert_near_identity(self) -> "PatchMatrix":
         """Inverse when v(self - 1) >= 1: the alternating t-adic sum of powers
-        of the deviation, folded Horner style (exact within the window)."""
+        of the deviation, summed term by term (exact within the window)."""
         m = self.deviation()
-        v = m.min_valuation()
-        if v < 1:
+        if m.min_valuation() < 1:
             raise FactorizationError("matrix is not within distance 1 of the identity")
-        prec = self.precision
-        ident = PatchMatrix.identity(self.cfg, self.n, self.chart, prec)
-        if v >= prec:
-            return ident
-        acc = ident
-        for _ in range(ceil(prec / v) - 1):
-            acc = ident - m * acc
-        return acc
+        return _neumann(PatchMatrix.identity(self.cfg, self.n, self.chart, self.precision), -m, True)
+
+
+def _neumann(x: PatchMatrix, n: PatchMatrix, left: bool) -> PatchMatrix:
+    """sum_k n^k x (left) or sum_k x n^k, for v(n) >= 1, mod t^prec of x.
+
+    Adds one term at a time, term <- n term (or term n), and stops once the
+    next term would vanish to precision: its order is at least the current
+    term's plus v(n).
+    """
+    prec, vn = x.precision, n.min_valuation()
+    acc = term = x
+    while term.min_valuation() + vn < prec:
+        term = n * term if left else term * n
+        acc = acc + term
+    return acc
 
 
 @dataclass
@@ -253,21 +276,15 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
     if not J:
         raise FactorizationError("need at least two centers to patch")
     prec = a.precision
-    if a.deviation().min_valuation() < 1:
+    dev = a.deviation()
+    if dev.min_valuation() < 1:
         raise FactorizationError("v(a - 1) >= 1 required")
 
     chart = a.chart
-    ident = PatchMatrix.identity(cfg, a.n, chart, prec)
-    a1 = ident
-    a2 = ident
-    e = a
+    a1 = a2 = PatchMatrix.identity(cfg, a.n, chart, prec)
     rounds = 0
     cap = max_rounds or (prec + 2)
-    while True:
-        dev = e.deviation()
-        v = dev.min_valuation()
-        if v >= prec:
-            break
+    while dev.min_valuation() < prec:
         rounds += 1
         if rounds > cap:
             raise ArithmeticError("Cartan iteration failed to contract (internal bug)")
@@ -290,24 +307,12 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
         m2 = PatchMatrix(m2_rows, chart)
         a1 = a1 + a1 * m1
         a2 = a2 + m2 * a2
-        # e - (1+m1)(1+m2) = -m1 m2, so the conjugated residual is
-        # 1 - (1+m1)^{-1} m1 m2 (1+m2)^{-1}; the correction has doubled order
-        # and the inverse folds stay within the window.
-        corr = m1 * m2
-        vc = corr.min_valuation()
-        if vc >= prec:
-            e = ident
-            continue
-        folds1 = max(0, ceil((prec - vc) / v) - 1)
-        left = corr
-        for _ in range(folds1):
-            left = corr - m1 * left
-        vl = left.min_valuation()
-        folds2 = max(0, ceil((prec - vl) / v) - 1)
-        acc = left
-        for _ in range(folds2):
-            acc = left - acc * m2
-        e = ident - acc
+        # (1 + dev) - (1+m1)(1+m2) = -m1 m2, so the conjugated residual has
+        # deviation -(1+m1)^{-1} m1 m2 (1+m2)^{-1}
+        #   = sum_{k,l} (-m1)^k (-m1 m2) (-m2)^l,
+        # of at least doubled order; the Neumann sums stay within the window
+        n1, n2 = -m1, -m2
+        dev = _neumann(_neumann(n1 * m2, n1, True), n2, False)
     mem = (_entry_memberships(a1, J), _entry_memberships(a2, {i}))
     return FactorizationResult(a1, a2, prec, mem, rounds)
 

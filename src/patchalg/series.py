@@ -243,18 +243,22 @@ class TruncSeries:
         return self.prec if self.prec <= other.prec else other.prec
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "TruncSeries", sign: int) -> "TruncSeries":
+        """self + sign * other in one pass over the common window."""
         prec = self._common(other)
         g = gcd(self.den, other.den)
         den = self.den // g * other.den
-        f1, f2 = other.den // g, self.den // g
+        f1, f2 = other.den // g, sign * (self.den // g)
         comps = [
             [f1 * a + f2 * b for a, b in zip(ca[:prec], cb[:prec])]
             for ca, cb in zip(self._c, other._c)
         ]
         return TruncSeries(self.field, prec, den, comps)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(self.field, self.prec, self.den, [[-x for x in c] for c in self._c])

@@ -10,12 +10,16 @@ import time
 
 from patchalg.analytic import (
     AnalyticElement,
+    Configuration,
+    _SeriesAcc,
     default_configuration,
     random_element,
     z_generator,
 )
 from patchalg.kummer import build_scenario, certify_division_algebra, hensel_root, lift_configuration
 from patchalg.oracle import OracleCache, oracle_of_element
+from patchalg.patching import PatchMatrix, cartan_factor
+from patchalg.scalars import QQ
 from patchalg.suites import (
     suite_cartan,
     suite_intersect,
@@ -113,6 +117,36 @@ def test_criterion_5_cartan():
         "criterion 5: 50 random Cartan factorizations at N=12",
         len(results) == 50 and not bad and dt < 30.0,
         f"{dt:.1f}s of 30s budget, {len(bad)} failures",
+    )
+
+
+def test_criterion_5_cartan_op_count(monkeypatch):
+    """Work gate beside criterion 5's wall budget: one fixed 3x3 Cartan
+    factorization at N=12 in four rounds and at most 62,000 series products
+    (58,164 with term-by-term Neumann sums, 77,684 with Horner folds)."""
+    cfg = Configuration(QQ, [0, 1, 2], 12)
+    one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
+    rng = random.Random(34)
+    A = PatchMatrix(
+        [[(one if r == c else zero)
+          + random_element(cfg, rng, chart=0, max_zdeg=2, tdeg=3, support=[0, 1, 2]).shift_t(1)
+          for c in range(3)] for r in range(3)], 0)
+    calls = 0
+    add_product = _SeriesAcc.add_product
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return add_product(*args, **kwargs)
+
+    monkeypatch.setattr(_SeriesAcc, "add_product", counted)
+    res = cartan_factor(A, 2)
+    monkeypatch.undo()
+    assert (res.b1 * res.b2).equals(A) and all(res.side_memberships)
+    _report(
+        "criterion 5 work gate: fixed 3x3 Cartan factorization at N=12",
+        res.rounds == 4 and calls <= 62_000,
+        f"{res.rounds} rounds, {calls} add_product calls of 62000",
     )
 
 

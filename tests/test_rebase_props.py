@@ -20,14 +20,14 @@ coords = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def configurations(draw):
+def configurations(draw, max_centers=5, max_prec=24):
     field = draw(st.sampled_from([QQ, QI]))
     if field == QQ:
         pairs = st.tuples(coords, st.just(Fraction(0)))
     else:
         pairs = st.tuples(coords, coords)
-    centers = draw(st.lists(pairs, min_size=2, max_size=5, unique=True))
-    prec = draw(st.integers(4, 24))
+    centers = draw(st.lists(pairs, min_size=2, max_size=max_centers, unique=True))
+    prec = draw(st.integers(4, max_prec))
     return Configuration(field, [Scalar.of(field, a, b) for a, b in centers], prec)
 
 
