@@ -1142,7 +1142,9 @@ class PrimePoint:
     the ring support, z_k to (lambda+eps)/(1 + (c_j - c_k)(lambda+eps));
     construction fails if any of those denominators is a non-unit.  The
     images of the powers z_k^n are cached per eps budget as they are asked
-    for, so repeated valuations at one point substitute without products.
+    for, so repeated valuations at one point substitute without products of
+    eps-polynomials; a valuation expands only up to the first eps-degree
+    that survives (``prime_point_valuation``).
     """
 
     __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst")
@@ -1214,10 +1216,6 @@ class _EpsPoly:
         self.budget = budget
         self.coeffs = list(coeffs[:budget])
 
-    @staticmethod
-    def const(ts: TruncSeries, budget: int) -> "_EpsPoly":
-        return _EpsPoly([ts], budget)
-
     def _field_prec(self):
         c = self.coeffs[0]
         return c.field, c.prec
@@ -1247,9 +1245,6 @@ class _EpsPoly:
                     out[i + j].add_product(a, b, ta, tb)
         return _EpsPoly([o.result() for o in out], self.budget)
 
-    def scale_series(self, s: TruncSeries) -> "_EpsPoly":
-        return _EpsPoly([c * s for c in self.coeffs], self.budget)
-
     def invert_unit(self) -> "_EpsPoly":
         """Inverse when the eps-free coefficient is a unit series."""
         d0 = self.coeffs[0].invert_unit()
@@ -1264,12 +1259,6 @@ class _EpsPoly:
 
     def negate(self) -> "_EpsPoly":
         return _EpsPoly([-c for c in self.coeffs], self.budget)
-
-    def order(self):
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return INF
 
 
 def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",
@@ -1329,6 +1318,11 @@ def prime_point_valuation(x, pt: PrimePoint, budget: Optional[int] = None) -> in
 
     Accepts analytic or localized elements supported inside the prime's
     ring; t-power shifts contribute nothing (t stays a unit at the point).
+    Substituting the point writes x as a polynomial in eps; its eps-degrees
+    are summed one at a time, each in one accumulator fed by every term's
+    image coefficient times the term's series, and the first degree that
+    survives is returned without expanding the higher ones.  Every degree
+    is taken at the lowest precision of f0 and of the image coefficients.
     """
     x = LocalizedElement.of(x)
     if x.is_zero():
@@ -1340,15 +1334,21 @@ def prime_point_valuation(x, pt: PrimePoint, budget: Optional[int] = None) -> in
             f"substitutes {sorted(pt.ring_support)}"
         )
     B = budget or body.precision
-    acc = _EpsPoly.const(body.f0, B)
-    for k, n, s in body.terms():
-        acc = acc + pt._image(k, n, B).scale_series(s)
-    e = acc.order()
-    if e == INF:
-        raise ValueError(
-            "order exceeds the eps budget (or the element vanishes at this precision)"
-        )
-    return e
+    images = [(pt._image(k, n, B).coeffs, s, terms(s._c)) for k, n, s in body.terms()]
+    prec = min([body.f0.prec] + [c.prec for coeffs, _s, _ts in images for c in coeffs])
+    field = body.cfg.field
+    for d in range(max([1] + [len(coeffs) for coeffs, _s, _ts in images])):
+        acc = _SeriesAcc(field, prec)
+        if d == 0:
+            acc.add_scaled(body.f0, Scalar.one(field))
+        for coeffs, s, ts in images:
+            if d < len(coeffs):
+                acc.add_product(coeffs[d], s, None, ts)
+        if not acc.is_zero():
+            return d
+    raise ValueError(
+        "order exceeds the eps budget (or the element vanishes at this precision)"
+    )
 
 
 # ---------------------------------------------------------------------------

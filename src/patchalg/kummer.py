@@ -35,6 +35,7 @@ from .analytic import (
     LocalizedElement,
     PrimePoint,
     SupportError,
+    ae_dot,
     prime_point_valuation,
     unit_invert,
     weierstrass_prepare_linear,
@@ -49,6 +50,7 @@ __all__ = [
     "Scenario",
     "build_scenario",
     "lift_configuration",
+    "norm_law_samples",
     "KummerExtension",
     "KummerElement",
     "DivisionAlgebraCertificate",
@@ -76,9 +78,15 @@ class ExtensionError(ValueError):
 def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     """The q-th root of a congruent to 1, for a = 1 mod t.
 
-    Newton iteration s <- s - (s^q - a)/(q s^{q-1}); the correction stays in
-    the ideal, so s = 1 mod t throughout, and the result is verified to
-    satisfy s^q = a within the window before returning.
+    Newton iteration s <- s - (s^q - a) w, where w ~ (q s^{q-1})^{-1} is
+    carried from step to step and refined by one Newton step of its own,
+    w <- w (2 - q s^{q-1} w), instead of being inverted anew (Bernstein,
+    "Removing redundancy in high-precision Newton iteration").  Both errors
+    still square per step, so ceil(log2 N) + 1 steps suffice.  The
+    correction stays in the ideal, so s = 1 mod t throughout, and the
+    result is verified to satisfy s^q = a within the window before
+    returning; a root = 1 mod t is unique, so it is the one exact Newton
+    would give.
     """
     if q < 1:
         raise ValueError("root order must be positive")
@@ -91,11 +99,13 @@ def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     if q == 1:
         return a
     qs = Scalar.of(cfg.field, q)
+    two = AnalyticElement.constant(cfg, 2, a.chart, a.precision)
     s = one
+    w = unit_invert(one.scale(qs))
     for _ in range(max(1, math.ceil(math.log2(a.precision))) + 1):
         sq_1 = s ** (q - 1)
-        ds = unit_invert(sq_1.scale(qs))
-        s = s - (sq_1 * s - a) * ds
+        w = w * (two - sq_1.scale(qs) * w)
+        s = s - (sq_1 * s - a) * w
     if not (s ** q).equals(a):
         raise ArithmeticError("Hensel iteration failed to converge (internal bug)")
     return s
@@ -219,12 +229,6 @@ def lift_configuration(cfg: Configuration) -> Configuration:
     return Configuration(F2, centers, cfg.precision)
 
 
-def lift_scenario(sc: Scenario) -> Scenario:
-    if sc.cfg.field.dim != 1:
-        return sc
-    return build_scenario(lift_configuration(sc.cfg), sc.i, sc.j, sc.k, sc.q, sc.qprime)
-
-
 # ---------------------------------------------------------------------------
 # Kummer extensions with u2-localized coordinates
 # ---------------------------------------------------------------------------
@@ -271,6 +275,8 @@ class KummerExtension:
     zeta: Scalar
     radicand: _Coord
     u2: Optional[AnalyticElement] = None
+    # (wraps, lift) -> radicand^wraps * u2^lift, built as products ask for it
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(cfg: Configuration, chart: int, degree: int, radicand,
@@ -289,6 +295,22 @@ class KummerExtension:
         return KummerExtension(
             cfg, chart, degree, zeta, _Coord(radicand, radicand_u2_power), u2
         )
+
+    def factor(self, wraps: bool, lift: int) -> LocalizedElement:
+        """radicand^wraps * u2^lift (not both trivial): what a coordinate
+        product picks up when it wraps past alpha^q and is lifted by lift
+        powers of u2."""
+        key = (wraps, lift)
+        f = self._factors.get(key)
+        if f is None:
+            if lift == 0:
+                f = self.radicand.elem
+            elif lift == 1 and not wraps:
+                f = LocalizedElement.of(self.u2)
+            else:
+                f = self.factor(wraps, lift - 1) * LocalizedElement.of(self.u2)
+            self._factors[key] = f
+        return f
 
     def element(self, coords: Sequence) -> "KummerElement":
         cs = []
@@ -343,24 +365,52 @@ class KummerElement:
         return self + (-other)
 
     def __mul__(self, other: "KummerElement") -> "KummerElement":
+        """The product, with one ``ae_dot`` per output coordinate n.
+
+        The coordinate pairs with n1 + n2 = n (mod q) are brought to the
+        largest u2 power among them and to the smallest t-shift: a pair that
+        wraps past alpha^q has its right factor times the radicand, a pair
+        below the largest power has its right factor times u2 to the
+        difference (both from ``KummerExtension.factor``), and a pair above
+        the smallest shift has its left body shifted up, as
+        ``PatchMatrix.__mul__`` aligns t-shifts.  Each right factor is built
+        once and shared by every pair that uses it.
+        """
         self._check(other)
-        q = self.ext.degree
-        rad = self.ext.radicand
-        zero = _Coord(AnalyticElement.zero(self.ext.cfg, self.ext.chart, self.ext.cfg.precision))
-        out = [zero] * q
+        ext = self.ext
+        q = ext.degree
+        rad_pow = ext.radicand.u2pow
+        groups = [[] for _ in range(q)]  # n -> [(left factor, n2, wraps, u2 power)]
         for n1, c1 in enumerate(self.coords):
             if c1.is_zero():
                 continue
             for n2, c2 in enumerate(other.coords):
                 if c2.is_zero():
                     continue
-                n = n1 + n2
-                prod = _Coord(c1.elem * c2.elem, c1.u2pow + c2.u2pow)
-                if n >= q:
-                    n -= q
-                    prod = _Coord(prod.elem * rad.elem, prod.u2pow + rad.u2pow)
-                out[n] = out[n].plus(prod, self.ext.u2)
-        return KummerElement(self.ext, tuple(out))
+                wraps = n1 + n2 >= q
+                power = c1.u2pow + c2.u2pow + (rad_pow if wraps else 0)
+                groups[(n1 + n2) % q].append((c1.elem, n2, wraps, power))
+        right: dict = {}  # (n2, wraps, lift) -> other.coords[n2] * ext.factor(wraps, lift)
+        out = []
+        for group in groups:
+            if not group:
+                out.append(_Coord(AnalyticElement.zero(ext.cfg, ext.chart, ext.cfg.precision)))
+                continue
+            top = max(power for *_rest, power in group)
+            factors = []
+            for f, n2, wraps, power in group:
+                key = (n2, wraps, top - power)
+                g = right.get(key)
+                if g is None:
+                    g = other.coords[n2].elem
+                    if wraps or power < top:
+                        g = g * ext.factor(wraps, top - power)
+                    right[key] = g
+                factors.append((f, g))
+            smin = min(f.tshift + g.tshift for f, g in factors)
+            pairs = [(f.body.shift_t(f.tshift + g.tshift - smin), g.body) for f, g in factors]
+            out.append(_Coord(LocalizedElement(ae_dot(pairs), smin), top))
+        return KummerElement(ext, tuple(out))
 
     def scale(self, s) -> "KummerElement":
         return KummerElement(
@@ -504,21 +554,7 @@ def certify_division_algebra(sc: Scenario, tamper_b: bool = False,
     Q = sc.full_degree
     law = {"degree": Q, "samples": 0, "failures": []}
     if Q > 1:
-        law_sc = sc
-        if not sc.cfg.field.has_root_of_unity(Q):
-            law_sc = lift_scenario(sc)
-        if norm_precision and norm_precision < law_sc.cfg.precision:
-            law_cfg = Configuration(
-                law_sc.cfg.field, law_sc.cfg.centers, norm_precision
-            )
-            law_sc = build_scenario(law_cfg, sc.i, sc.j, sc.k, sc.q, sc.qprime)
-        ext = KummerExtension.create(
-            law_sc.cfg, law_sc.j, Q,
-            law_sc.rp.rebase(law_sc.j), u2=law_sc.u2, radicand_u2_power=1,
-        )
-        rng = random.Random(seed)
-        results = _norm_law_samples(law_sc, ext, rng, norm_samples)
-        law.update(results)
+        law.update(norm_law_samples(sc, norm_samples, random.Random(seed), norm_precision))
     law["ok"] = not law["failures"]
 
     v_r_b = table["v_r(b)"]
@@ -566,9 +602,27 @@ def random_ring_element(cfg: Configuration, rng, ring: Iterable[int], chart: int
     return AnalyticElement.from_terms(cfg, chart, cfg.series(vals), zc)
 
 
-def _norm_law_samples(sc: Scenario, ext: KummerExtension, rng, count: int) -> dict:
-    ring = frozenset(sc.cfg.indices) - {sc.i}
-    Q = ext.degree
+def norm_law_samples(sc: Scenario, count: int, rng,
+                     norm_precision: Optional[int] = None) -> dict:
+    """The norm-valuation law on ``count`` random elements x of the
+    full-degree extension of radicand a = r'/u2 (u2 power 1): v(x r^w) =
+    v(x) + w, every Galois conjugate has the valuation of x r^w, and its
+    norm has Q times it.
+
+    The law runs over the scenario lifted to the order-4 cyclotomic field
+    when the base field lacks the Q-th roots of unity, and rebuilt at
+    ``norm_precision`` when that is below the scenario's precision.
+    """
+    Q = sc.full_degree
+    cfg = sc.cfg
+    if not cfg.field.has_root_of_unity(Q):
+        cfg = lift_configuration(cfg)
+    if norm_precision and norm_precision < cfg.precision:
+        cfg = Configuration(cfg.field, cfg.centers, norm_precision)
+    if cfg is not sc.cfg:
+        sc = build_scenario(cfg, sc.i, sc.j, sc.k, sc.q, sc.qprime)
+    ext = KummerExtension.create(cfg, sc.j, Q, sc.rp.rebase(sc.j), u2=sc.u2, radicand_u2_power=1)
+    ring = frozenset(cfg.indices) - {sc.i}
     failures = []
     r_pows = [AnalyticElement.one(sc.cfg, sc.j, sc.cfg.precision)]
     for _ in range(2):

@@ -202,12 +202,13 @@ class TruncSeries:
         """t-adic order; math.inf means "vanishes to precision" (>= prec)."""
         v = self._vt
         if v is None:
-            v = INF
-            for n in range(self.prec):
-                if any(c[n] for c in self._c):
-                    v = n
-                    break
-            self._vt = v
+            best = self.prec
+            for comp in self._c:  # each component up to the best order so far
+                for n in range(best):
+                    if comp[n]:
+                        best = n
+                        break
+            v = self._vt = best if best < self.prec else INF
         return v
 
     def __eq__(self, other) -> bool:

@@ -32,12 +32,12 @@ from .analytic import (
 )
 from .kummer import (
     KummerExtension,
-    _norm_law_samples,
     build_scenario,
     certify_division_algebra,
     grid_norm_identity,
     hensel_root,
     lift_configuration,
+    norm_law_samples,
     quaternion_mul,
     quaternion_norm,
     random_ring_element,
@@ -556,18 +556,9 @@ def suite_kummer(cfg: Configuration, scen: dict, seed: int, norm_samples: int = 
     def norm_law():
         base = Configuration(cfg.field, cfg.centers, norm_precision)
         sc = build_scenario(base, i, j, scen["k"], scen["q"], scen["qprime"])
-        Q = sc.full_degree
-        law_sc = sc
-        if not sc.cfg.field.has_root_of_unity(Q):
-            law_cfg = lift_configuration(base)
-            law_sc = build_scenario(law_cfg, i, j, scen["k"], scen["q"], scen["qprime"])
-        ext = KummerExtension.create(
-            law_sc.cfg, law_sc.j, Q, law_sc.rp.rebase(law_sc.j),
-            u2=law_sc.u2, radicand_u2_power=1,
-        )
-        res = _norm_law_samples(law_sc, ext, random.Random(seed + 10), norm_samples)
+        res = norm_law_samples(sc, norm_samples, random.Random(seed + 10))
         return not res["failures"], {"samples": res["samples"], "failures": res["failures"][:5],
-                                     "degree": Q, "precision": norm_precision}
+                                     "degree": sc.full_degree, "precision": norm_precision}
 
     out.append(_run_case("kummer", "galois-norm-law", norm_law, verbose))
 

@@ -1,0 +1,90 @@
+"""The Kummer product ``KummerElement.__mul__``, one ``ae_dot`` per output
+coordinate, against the pairwise product it replaced.
+
+Over Q (degree 2) and Q(i) (degrees 2 and 4), two to five centers, with
+coordinates, radicand and unit u2 that carry u2 powers and t-shifts, some
+coordinates zero and some at a lower precision.  The reference multiplies
+every coordinate pair by itself and sums with ``_Coord.plus``; the two must
+agree bit for bit in value, u2 power and t-shift.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patchalg.analytic import AnalyticElement, LocalizedElement, random_element
+from patchalg.kummer import KummerExtension, _Coord
+from patchalg.scalars import QQ
+from test_rebase_props import configurations
+
+
+def pairwise_product(x, y):
+    """x * y one coordinate pair at a time, wrapped pairs times the radicand,
+    summed over the larger u2 power by ``_Coord.plus``."""
+    ext = x.ext
+    q = ext.degree
+    rad = ext.radicand
+    zero = _Coord(AnalyticElement.zero(ext.cfg, ext.chart, ext.cfg.precision))
+    out = [zero] * q
+    for n1, c1 in enumerate(x.coords):
+        if c1.is_zero():
+            continue
+        for n2, c2 in enumerate(y.coords):
+            if c2.is_zero():
+                continue
+            n = n1 + n2
+            prod = _Coord(c1.elem * c2.elem, c1.u2pow + c2.u2pow)
+            if n >= q:
+                n -= q
+                prod = _Coord(prod.elem * rad.elem, prod.u2pow + rad.u2pow)
+            out[n] = out[n].plus(prod, ext.u2)
+    return out
+
+
+@st.composite
+def products(draw):
+    """Two elements of one extension, of degree 2 or (over Q(i)) 4."""
+    cfg = draw(configurations(max_prec=12))
+    degree = 2 if cfg.field == QQ else draw(st.sampled_from([2, 4]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    chart = draw(st.sampled_from(list(cfg.indices)))
+    shifts = st.integers(-2, 2)
+
+    def unit(c=chart, prec=None):
+        """A random element of z-degree up to 2 with a unit constant term, so
+        that no coordinate product vanishes."""
+        f = random_element(cfg, rng, chart=c, max_zdeg=2, tdeg=3)
+        one = AnalyticElement.constant(cfg, rng.randint(1, 9), c)
+        return (f.shift_t(1) + one).truncate(prec or cfg.precision)
+
+    u2 = unit()
+    radicand = LocalizedElement(unit(), draw(shifts))
+    ext = KummerExtension.create(cfg, chart, degree, radicand, u2=u2,
+                                 radicand_u2_power=draw(st.integers(0, 2)))
+
+    def element():
+        coords = []
+        for _ in range(degree):
+            if draw(st.booleans()) and draw(st.booleans()):
+                coords.append(_Coord(AnalyticElement.zero(cfg, chart)))
+                continue
+            c = draw(st.sampled_from(list(cfg.indices)))
+            prec = draw(st.integers(cfg.precision - 2, cfg.precision))
+            body = LocalizedElement(unit(c, prec), draw(shifts))
+            coords.append(_Coord(body, draw(st.integers(0, 2))))
+        return ext.element(coords)
+
+    return element(), element()
+
+
+@settings(max_examples=60)
+@given(products())
+def test_product_equals_the_pairwise_product(xy):
+    x, y = xy
+    got = (x * y).coords
+    want = pairwise_product(x, y)
+    for g, w in zip(got, want):
+        assert g.u2pow == w.u2pow
+        assert g.elem.tshift == w.elem.tshift
+        assert g.elem.body == w.elem.body

@@ -2,8 +2,9 @@
 
 ``prime_point_valuation`` reads the image of every z_k^n from the point,
 keyed by (k, n, eps budget).  A point that has served many elements at
-several budgets must give the values a fresh point gives, and a repeated
-valuation must make no product of eps-polynomials.
+several budgets must give the values a fresh point gives, a repeated
+valuation must make no product of eps-polynomials, and a valuation of
+value v at a warm point must expand no eps-degree above v.
 """
 
 import random
@@ -11,7 +12,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchalg.analytic import Configuration, PrimePoint, _EpsPoly, prime_point_valuation, random_element
+from patchalg.analytic import (
+    Configuration,
+    PrimePoint,
+    _EpsPoly,
+    _SeriesAcc,
+    prime_point_valuation,
+    random_element,
+)
 from patchalg.kummer import build_scenario
 from patchalg.scalars import cyclotomic_field
 
@@ -84,3 +92,31 @@ def test_repeated_valuation_makes_no_eps_product(monkeypatch):
     assert cold > 0
     assert again == first
     assert len(calls) == cold
+
+
+def test_valuation_stops_at_the_first_surviving_degree(monkeypatch):
+    """x r^w has valuation w at the point; at a warm point every series
+    product the valuation makes is an image coefficient of eps-degree at
+    most w times a term of x r^w."""
+    rng = random.Random(8)
+    pt = fresh_point()
+    degree_of = {}
+    for w in range(4):
+        x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support), max_zdeg=4)
+        x = x * SC.r ** w
+        prime_point_valuation(x, pt)  # warm
+        for (_k, _n, budget), img in pt._subst.items():
+            if budget == CFG.precision:
+                degree_of.update({id(c): d for d, c in enumerate(img.coeffs)})
+        degrees = []
+        real = _SeriesAcc.add_product
+
+        def counted(self, a, *rest):
+            degrees.append(degree_of[id(a)])
+            return real(self, a, *rest)
+
+        monkeypatch.setattr(_SeriesAcc, "add_product", counted)
+        v = prime_point_valuation(x, pt)
+        monkeypatch.undo()
+        assert v == w
+        assert max(degrees) == w

@@ -1,14 +1,25 @@
-"""Digest of the Kummer norms of the kummer-qi benchmark requests.
+"""Digests of the kummer-qi benchmark results: norms, Hensel roots or
+prime-point valuations.
 
     python3 tools/norm_digest.py --seeds 1 2 3
+    python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
 
 Run from the root of a checkout; the program is imported from ``src/`` and
 the requests are the ones ``bench/run.py`` draws for a seed.  For every
-norm-law request it prints the seed, the request's place in the stream and
-the SHA-256 of its norm: the u2 power, the t-shift and the exact series
-data of the numerator.  Two checkouts compute identical norms when their
-outputs are identical, so a change to ``KummerElement.norm`` is checked by
-running this script in both and comparing the outputs.
+request of the chosen kind it prints the seed, the request's place in the
+stream and the SHA-256 of the result's exact data:
+
+* ``norm`` (the default), norm-law requests: the norm's u2 power, t-shift
+  and the series data of its numerator;
+* ``hensel``, hensel requests: the series data of the root;
+* ``valuation``, norm-law and certificate requests: the prime-point
+  valuations of x, of x r^w, of its conjugates and of its norm, and the
+  whole certificate (valuation table, norm-law evidence, verdict).
+
+Two checkouts compute identical results when their outputs are identical,
+so a change to ``KummerElement.norm``, ``hensel_root`` or
+``prime_point_valuation`` is checked by running this script in both and
+comparing the outputs.
 """
 
 from __future__ import annotations
@@ -23,30 +34,57 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from patchalg.analytic import prime_point_valuation  # noqa: E402
 
 REQUESTS = 120  # the pool of one kummer-qi run
 
 
-def norm_digest(ctx, x, w) -> str:
+def element_data(e) -> list:
+    """Chart, precision and the exact series of an analytic element."""
+    return [e.chart, e.precision, (e.f0.den, e.f0._c),
+            sorted((kn, s.den, s._c) for kn, s in e.zc.items())]
+
+
+def norm_data(ctx, kind, inp) -> list:
+    x, w = inp
     xw = x.mul_base(ctx["r_pows"][w]) if w else x
     c = xw.norm()
-    body = c.elem.body
-    data = [c.u2pow, c.elem.tshift, body.chart, body.precision,
-            (body.f0.den, body.f0._c),
-            sorted((kn, s.den, s._c) for kn, s in body.zc.items())]
-    return hashlib.sha256(repr(data).encode()).hexdigest()
+    return [c.u2pow, c.elem.tshift, *element_data(c.elem.body)]
+
+
+def hensel_data(ctx, kind, inp) -> list:
+    return element_data(kind.compute(ctx, inp))
+
+
+def valuation_data(ctx, kind, inp):
+    out = kind.compute(ctx, inp)
+    if kind.name == "certificate":
+        return out.to_dict()
+    v0, vw, conj, nrm = out
+    return [v0, vw, conj, prime_point_valuation(nrm, ctx["sc"].pt_r)]
+
+
+# --kind -> (request kinds digested, result data of one request)
+KINDS = {
+    "norm": ({"norm-law"}, norm_data),
+    "hensel": ({"hensel"}, hensel_data),
+    "valuation": ({"norm-law", "certificate"}, valuation_data),
+}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--kind", choices=sorted(KINDS), default="norm")
     args = ap.parse_args(argv)
+    names, data = KINDS[args.kind]
     wl = workloads.WORKLOADS["kummer-qi"]
     for seed in args.seeds:
         ctx = wl.setup()
         for n, (kind, inp) in enumerate(wl.stream(ctx, random.Random(f"{wl.name}/{seed}"), REQUESTS)):
-            if kind.name == "norm-law":
-                print(seed, n, norm_digest(ctx, *inp))
+            if kind.name in names:
+                digest = hashlib.sha256(repr(data(ctx, kind, inp)).encode()).hexdigest()
+                print(seed, n, digest)
     return 0
 
 
