@@ -275,8 +275,6 @@ class KummerExtension:
     zeta: Scalar
     radicand: _Coord
     u2: Optional[AnalyticElement] = None
-    # (wraps, lift) -> radicand^wraps * u2^lift, built as products ask for it
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(cfg: Configuration, chart: int, degree: int, radicand,
@@ -295,22 +293,6 @@ class KummerExtension:
         return KummerExtension(
             cfg, chart, degree, zeta, _Coord(radicand, radicand_u2_power), u2
         )
-
-    def factor(self, wraps: bool, lift: int) -> LocalizedElement:
-        """radicand^wraps * u2^lift (not both trivial): what a coordinate
-        product picks up when it wraps past alpha^q and is lifted by lift
-        powers of u2."""
-        key = (wraps, lift)
-        f = self._factors.get(key)
-        if f is None:
-            if lift == 0:
-                f = self.radicand.elem
-            elif lift == 1 and not wraps:
-                f = LocalizedElement.of(self.u2)
-            else:
-                f = self.factor(wraps, lift - 1) * LocalizedElement.of(self.u2)
-            self._factors[key] = f
-        return f
 
     def element(self, coords: Sequence) -> "KummerElement":
         cs = []
@@ -371,10 +353,10 @@ class KummerElement:
         largest u2 power among them and to the smallest t-shift: a pair that
         wraps past alpha^q has its right factor times the radicand, a pair
         below the largest power has its right factor times u2 to the
-        difference (both from ``KummerExtension.factor``), and a pair above
-        the smallest shift has its left body shifted up, as
-        ``PatchMatrix.__mul__`` aligns t-shifts.  Each right factor is built
-        once and shared by every pair that uses it.
+        difference, and a pair above the smallest shift has its left body
+        shifted up, as ``PatchMatrix.__mul__`` aligns t-shifts.  Each right
+        factor is built once per product and shared by every pair that uses
+        it.
         """
         self._check(other)
         ext = self.ext
@@ -390,7 +372,7 @@ class KummerElement:
                 wraps = n1 + n2 >= q
                 power = c1.u2pow + c2.u2pow + (rad_pow if wraps else 0)
                 groups[(n1 + n2) % q].append((c1.elem, n2, wraps, power))
-        right: dict = {}  # (n2, wraps, lift) -> other.coords[n2] * ext.factor(wraps, lift)
+        right: dict = {}  # (n2, wraps, lift) -> other.coords[n2] * radicand^wraps * u2^lift
         out = []
         for group in groups:
             if not group:
@@ -403,8 +385,9 @@ class KummerElement:
                 g = right.get(key)
                 if g is None:
                     g = other.coords[n2].elem
-                    if wraps or power < top:
-                        g = g * ext.factor(wraps, top - power)
+                    if wraps:
+                        g = g * ext.radicand.elem
+                    g = _Coord(g).lifted(top - power, ext.u2)
                     right[key] = g
                 factors.append((f, g))
             smin = min(f.tshift + g.tshift for f, g in factors)
