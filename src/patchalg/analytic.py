@@ -980,13 +980,6 @@ def membership(f: AnalyticElement, J: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval_scalar(p: list, x: Scalar) -> Scalar:
-    acc = Scalar.zero(x.field)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_mul(p: list, q: list, field: FieldDescriptor) -> list:
     out = [Scalar.zero(field)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):

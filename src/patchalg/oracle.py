@@ -15,17 +15,44 @@ Expressions are tiny ASTs built with operator syntax:
 Division is supported only when the denominator, after peeling its t-power,
 has an invertible constant term; that covers products of chart uniformizers
 and chart-ratio units, which is all the constructions here ever divide by.
+
+Canonical forms expand through ``oracle_of_element`` without an expression
+tree.  In chart j, t_src = (1 + gamma z) t with gamma = c_j - c_src, and z_k
+is the geometric series Z_k = z/(1 + (c_j - c_k) z), so
+
+    f = sum_m t^m (1 + gamma z)^m [a_{0,m} + sum_{k,n} a_{k,n,m} Z_k^n]
+
+and each t-degree m is one z-row: a combination of the rows Z_k^n times the
+row (1 + gamma z)^m, both written down in closed form and kept in an
+``OracleCache``.
+
+Rows are integer lists over one denominator, and products of rows are
+Kronecker substitutions: a row packs into the single integer
+sum c_i 2^(w i), so one integer product multiplies two rows, and the
+product's slots are read back as signed w-bit digits.  The width w is one
+bit more than the bit length of a bound on every slot: the number of
+products summed into one slot times the operands' largest magnitudes
+(``_width``).  So no slot can overflow, and every result is exact.  ``OracleSeries`` products pack each z-row in t;
+expansions pack each t-degree's z-row and stack the t-degrees in one
+integer per slot series.  Over Q(i) the real and imaginary parts pack
+separately and multiply as four integer products, on the same code path.
+
+Independence: the oracle reads only the stored integer data of an element
+(its series' numerators and denominators, its chart and the centers).  It
+never calls the rewrite rule, the chart-change transfer tables, ``ae_dot``
+or the series accumulators of ``analytic``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from .scalars import FieldDescriptor, Scalar
-from .series import TruncSeries
+from .series import TruncSeries, _coords_to_ints
 
 __all__ = [
     "OracleError",
@@ -144,6 +171,55 @@ def zvar(k: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# packed integer rows
+# ---------------------------------------------------------------------------
+
+
+def _cmul(x: tuple, y: tuple) -> tuple:
+    """Product of coordinate tuples: one entry over Q, (re, im) over Q(i).
+    The entries may be single numbers or packed rows."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _width(bound: int) -> int:
+    """Slot width w for packed rows whose slots have magnitude at most
+    ``bound``: every slot then lies in (-2^(w-1), 2^(w-1)), so ``_unpack``
+    reads it back exactly."""
+    return bound.bit_length() + 1
+
+
+def _mag(comps) -> int:
+    """The largest magnitude in integer coordinate lists."""
+    return max(max(max(c), -min(c)) for c in comps)
+
+
+def _pack(row: list, w: int) -> int:
+    """The integer sum row[i] * 2^(w*i); entries may be negative."""
+    v = 0
+    for c in reversed(row):
+        v = (v << w) + c
+    return v
+
+
+def _unpack(v: int, w: int, count: int) -> list:
+    """The first ``count`` signed w-bit slots of a packed row."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(count):
+        c = v & mask
+        v >>= w
+        if c & half:
+            c -= mask + 1
+            v += 1
+        out.append(c)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # windowed bivariate series in (z_j, t)
 # ---------------------------------------------------------------------------
 
@@ -257,22 +333,41 @@ class OracleSeries:
 
     def __mul__(self, other: "OracleSeries") -> "OracleSeries":
         self._check(other)
-        dim = self.field.dim
-        out: dict = {}
-        for (m1, n1), v1 in self.data.items():
-            for (m2, n2), v2 in other.data.items():
-                m, n = m1 + m2, n1 + n2
-                if m >= self.zdepth or n >= self.tprec:
-                    continue
-                if dim == 1:
-                    p = (v1[0] * v2[0],)
-                else:
-                    a, b = v1
-                    c, d = v2
-                    p = (a * c - b * d, a * d + b * c)
-                cur = out.get((m, n))
-                out[(m, n)] = p if cur is None else tuple(x + y for x, y in zip(cur, p))
-        return OracleSeries(self.field, self.zdepth, self.tprec, self.den * other.den, out)
+        M, N = self.zdepth, self.tprec
+        if self.is_zero() or other.is_zero():
+            return OracleSeries.zero(self.field, M, N)
+        # an output slot sums, for each term of one operand, at most one
+        # term product of the other, dim coordinate products each
+        count = self.field.dim * min(len(self.data), len(other.data))
+        w = _width(count * _mag(zip(*self.data.values())) * _mag(zip(*other.data.values())))
+        lo_a, rows_a = self._t_rows(w)
+        lo_b, rows_b = other._t_rows(w)
+        acc: dict = {}
+        for m1, a in rows_a.items():
+            for m2, b in rows_b.items():
+                m = m1 + m2
+                if m < M:
+                    p = _cmul(a, b)
+                    cur = acc.get(m)
+                    acc[m] = p if cur is None else tuple(map(operator.add, cur, p))
+        lo = lo_a + lo_b
+        out = {}
+        for m, row in acc.items():
+            for i, v in enumerate(zip(*(_unpack(x, w, N - lo) for x in row))):
+                out[(m, lo + i)] = v
+        return OracleSeries(self.field, M, N, self.den * other.den, out)
+
+    def _t_rows(self, w: int) -> tuple:
+        """(lowest t-exponent lo, {z-exponent: packed row per coordinate}):
+        row m holds the t^n coefficient at bit w*(n - lo)."""
+        lo = min(n for (_m, n) in self.data)
+        rows: dict = {}
+        for (m, n), v in self.data.items():
+            rows.setdefault(m, []).append((w * (n - lo), v))
+        return lo, {
+            m: tuple(sum(v[d] << s for s, v in ts) for d in range(self.field.dim))
+            for m, ts in rows.items()
+        }
 
     def scale(self, s: Scalar) -> "OracleSeries":
         unit = OracleSeries.from_scalar_terms(self.field, self.zdepth, self.tprec, {(0, 0): s})
@@ -370,111 +465,124 @@ def oracle_expand(expr: Expr, cfg, chart: int, zdepth: int,
     return walk(expr)
 
 
-def _window_combine(field, zdepth: int, tprec: int, parts) -> OracleSeries:
-    """One-pass linear combination sum(scalar * series) over a shared window."""
-    den = 1
-    prepared = []
-    for ser, sc in parts:
-        nums = []
-        sden = 1
-        for c in sc.coords:
-            sden = sden * c.denominator // gcd(sden, c.denominator)
-        nums = [int(c * sden) for c in sc.coords]
-        pden = ser.den * sden
-        prepared.append((ser, nums, pden))
-        den = den * pden // gcd(den, pden)
-    dim = field.dim
-    out: dict = {}
-    for ser, nums, pden in prepared:
-        f = den // pden
-        if dim == 1:
-            a = nums[0] * f
-            if not a:
-                continue
-            for key, v in ser.data.items():
-                cur = out.get(key)
-                out[key] = (cur[0] + a * v[0],) if cur else (a * v[0],)
-        else:
-            a, b = nums[0] * f, nums[1] * f
-            if not a and not b:
-                continue
-            for key, v in ser.data.items():
-                x, y = v
-                add = (a * x - b * y, a * y + b * x)
-                cur = out.get(key)
-                out[key] = tuple(p + q for p, q in zip(cur, add)) if cur else add
-    return OracleSeries(field, zdepth, tprec, den, out)
+def _int_powers(delta: Scalar, count: int) -> tuple:
+    """(q, [x^0, ..., x^(count-1)]) for delta = x/q, x integer coordinates."""
+    x, q = _coords_to_ints(delta.coords)
+    pw = [(1,) + (0,) * (len(x) - 1)]
+    for _ in range(count - 1):
+        pw.append(_cmul(pw[-1], x))
+    return q, pw
+
+
+def _row(den: int, coeffs: list) -> tuple:
+    """(den, mag, coordinates) of the z-row whose z^l numerators are
+    coeffs[l], mag the largest magnitude among them."""
+    comps = tuple(map(list, zip(*coeffs)))
+    return den, _mag(comps), comps
 
 
 class OracleCache:
-    """Shared power ladders for expanding many elements in one window."""
+    """Integer z-rows shared by many expansions in one window.
+
+    For chart j it holds, below z^zdepth, the rows Z_k^n with Z_k = z/(1 +
+    (c_j - c_k) z), the expansion of z_k^n, and the rows (1 + gamma z)^m
+    with gamma = c_j - c_src for m < tprec, the expansion of (t_src/t)^m.
+    A row is (den, mag, coordinates): one integer list per coordinate over
+    the denominator den, and the largest magnitude among them.
+    """
 
     def __init__(self, cfg, zdepth: int, tprec: Optional[int] = None):
         self.cfg = cfg
         self.zdepth = zdepth
         self.tprec = tprec or cfg.precision
-        self._pow: dict = {}
+        self._rows: dict = {}
 
-    def t_power(self, chart: int, src_chart: int, m: int) -> OracleSeries:
-        key = ("t", chart, src_chart, m)
-        hit = self._pow.get(key)
+    def z_row(self, chart: int, k: int, n: int) -> tuple:
+        """Z_k^n in chart ``chart``; n = 0 gives the row 1."""
+        key = ("z", chart, k, n)
+        hit = self._rows.get(key)
         if hit is None:
-            if m == 0:
-                hit = OracleSeries.from_scalar_terms(
-                    self.cfg.field, self.zdepth, self.tprec, {(0, 0): 1}
-                )
-            elif m == 1:
-                c = self.cfg.centers[chart] - self.cfg.centers[src_chart]
-                # X - c_src Y = t + (c_chart - c_src) z t in the chart window
-                terms = {(0, 1): Scalar.one(self.cfg.field)}
-                if not c.is_zero():
-                    terms[(1, 1)] = c
-                hit = OracleSeries.from_scalar_terms(
-                    self.cfg.field, self.zdepth, self.tprec, terms
-                )
+            M, dim = self.zdepth, self.cfg.field.dim
+            zero = (0,) * dim
+            if n == 0:
+                hit = _row(1, [(1,) + zero[1:]] + [zero] * (M - 1))
             else:
-                hit = self.t_power(chart, src_chart, m - 1) * self.t_power(chart, src_chart, 1)
-            self._pow[key] = hit
+                # z^(n+i) coefficient C(n+i-1, i) (-delta)^i, over q^(M-1)
+                cfg = self.cfg
+                q, pw = _int_powers(cfg.centers[k] - cfg.centers[chart], M)
+                top = M - 1
+                coeffs = [zero] * min(n, M)
+                coeffs += [tuple(comb(n + i - 1, i) * q ** (top - i) * x for x in pw[i])
+                           for i in range(M - n)]
+                hit = _row(q ** top, coeffs)
+            self._rows[key] = hit
         return hit
 
-    def z_power(self, chart: int, k: int, n: int) -> OracleSeries:
-        key = ("z", chart, k, n)
-        hit = self._pow.get(key)
+    def stretch_rows(self, chart: int, src: int) -> tuple:
+        """(den, mag, terms, [coordinates of (1 + gamma z)^m for m < tprec])
+        over one denominator, gamma = c_chart - c_src; mag is the largest
+        magnitude and terms the most nonzero coefficients in one row."""
+        key = ("t", chart, src)
+        hit = self._rows.get(key)
         if hit is None:
-            if n == 1:
-                hit = oracle_expand(zvar(k), self.cfg, chart, self.zdepth, self.tprec)
-            else:
-                hit = self.z_power(chart, k, n - 1) * self.z_power(chart, k, 1)
-            self._pow[key] = hit
+            M, cfg = self.zdepth, self.cfg
+            q, pw = _int_powers(cfg.centers[chart] - cfg.centers[src], M)
+            top = M - 1
+            rows, terms = [], 0
+            for m in range(self.tprec):
+                # z^i coefficient C(m, i) gamma^i, over q^(M-1)
+                coeffs = [tuple(comb(m, i) * q ** (top - i) * x for x in pw[i])
+                          for i in range(M)]
+                rows.append(_row(q ** top, coeffs))
+                terms = max(terms, sum(1 for c in coeffs if any(c)))
+            hit = (q ** top, max(r[1] for r in rows), terms, [r[2] for r in rows])
+            self._rows[key] = hit
         return hit
 
 
 def oracle_of_element(f, chart: int, cache: OracleCache) -> OracleSeries:
-    """Expansion of a canonical form's defining expression.
+    """Expansion of a canonical form's defining expression in chart ``chart``.
 
-    Reads only the stored data of f; all products happen on the oracle side
-    (power ladders shared through the cache), so this is the same
-    independent route as expanding source_of(f), just without re-walking an
-    expression tree per coefficient.
+    Reads only the stored integer data of f.  In the chart, t_src = (1 +
+    gamma z) t and z_k = Z_k(z), so
+
+        f = sum_m t^m (1 + gamma z)^m [a_{0,m} + sum_{k,n} a_{k,n,m} Z_k^n]
+
+    and each t-degree m is one z-row: the bracket, a combination of the
+    cached rows Z_k^n, times the cached row (1 + gamma z)^m.  Each slot's
+    t-series packs with stride w * zdepth and its row with stride w, so one
+    integer product per slot adds that slot to every t-degree's packed
+    z-row at once; the stretch is then one integer product per t-degree.
     """
-    cfg = f.cfg
-    field = cfg.field
     M, N = cache.zdepth, cache.tprec
-
-    def series_part(s) -> OracleSeries:
-        parts = []
-        for m in range(s.prec):
-            c = s.coeff(m)
-            if not c.is_zero():
-                parts.append((cache.t_power(chart, f.chart, m), c))
-        if not parts:
-            return OracleSeries.zero(field, M, N)
-        return _window_combine(field, M, N, parts)
-
-    total = series_part(f.f0)
-    for k, n, s in f.terms():
-        total = total + series_part(s) * cache.z_power(chart, k, n)
-    return total
+    dim = f.cfg.field.dim
+    gden, gmag, gterms, stretch = cache.stretch_rows(chart, f.chart)
+    slots = [(f.f0, cache.z_row(chart, None, 0))]
+    slots += [(s, cache.z_row(chart, k, n)) for k, n, s in f.terms()]
+    slots = [(s, row) for s, row in slots if row[1] and not s.is_zero()]
+    if not slots:
+        return OracleSeries.zero(f.cfg.field, M, N)
+    den = math.lcm(*(s.den * rden for s, (rden, _m, _r) in slots))
+    slots = [(s, den // (s.den * rden), rmag, row) for s, (rden, rmag, row) in slots]
+    # a coordinate of a t-degree's z-row sums dim products per slot, and
+    # one of its stretch sums dim products per stretch term
+    rowmag = dim * sum(_mag(s._c) * mult * rmag for s, mult, rmag, _r in slots)
+    w = _width(dim * gterms * gmag * rowmag)
+    # t-stride: a t-degree's z-row has zdepth slots below 2^(w-1), so the
+    # packed row lies below 2^(W-1) and unpacks as one signed W-bit slot
+    W = w * M
+    acc = (0,) * dim
+    for s, mult, _m, row in slots:
+        series = tuple(_pack(c[:N], W) for c in s._c)
+        zrow = tuple(mult * _pack(r, w) for r in row)
+        acc = tuple(map(operator.add, acc, _cmul(series, zrow)))
+    out = {}
+    for m, row in enumerate(zip(*(_unpack(x, W, N) for x in acc))):
+        if any(row):
+            g = tuple(_pack(r, w) for r in stretch[m])
+            for i, v in enumerate(zip(*(_unpack(x, w, M) for x in _cmul(row, g)))):
+                out[(i, m)] = v
+    return OracleSeries(f.cfg.field, M, N, den * gden, out)
 
 
 def source_of(f) -> Expr:

@@ -8,6 +8,7 @@ one-line pass/fail summary (visible with pytest -s or in captured output).
 import random
 import time
 
+from patchalg import analytic
 from patchalg.analytic import (
     AnalyticElement,
     Configuration,
@@ -17,7 +18,7 @@ from patchalg.analytic import (
     z_generator,
 )
 from patchalg.kummer import build_scenario, certify_division_algebra, hensel_root, lift_configuration
-from patchalg.oracle import OracleCache, oracle_of_element
+from patchalg.oracle import OracleCache, OracleSeries, oracle_of_element
 from patchalg.patching import PatchMatrix, cartan_factor
 from patchalg.scalars import QQ
 from patchalg.suites import (
@@ -66,6 +67,52 @@ def test_criterion_1_oracle_equivalence():
         "criterion 1: mul/add/rebase match the expansion oracle on 100 elements",
         not bad and dt < 10.0,
         f"{dt:.1f}s of 10s budget, {len(bad)} mismatches",
+    )
+
+
+def test_criterion_1_oracle_independence(monkeypatch):
+    """Gate beside criterion 1: with the canonical kernels (products, series
+    accumulators, chart changes, the rewrite rule and the transfer tables)
+    made to raise, the oracle still expands and multiplies, and once its
+    cache is warm an expansion makes no OracleSeries product or sum."""
+    rng = random.Random(SEED)
+    pairs = [(random_element(CFG, rng), random_element(CFG, rng)) for _ in range(10)]
+    prods = [f * g for f, g in pairs]
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the oracle used the canonical arithmetic")
+
+    monkeypatch.setattr(analytic, "ae_dot", banned)
+    monkeypatch.setattr(_SeriesAcc, "__init__", banned)
+    monkeypatch.setattr(AnalyticElement, "rebase", banned)
+    for name in ("rewrite", "rewrite_ints", "transfer"):
+        monkeypatch.setattr(Configuration, name, banned)
+    cache = OracleCache(CFG, 9)
+    mismatches = 0
+    for (f, g), h in zip(pairs, prods):
+        for j in CFG.indices:
+            of, og = oracle_of_element(f, j, cache), oracle_of_element(g, j, cache)
+            mismatches += (of * og) != oracle_of_element(h, j, cache)
+    calls = 0
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(OracleSeries, "__mul__", counted(OracleSeries.__mul__))
+    monkeypatch.setattr(OracleSeries, "__add__", counted(OracleSeries.__add__))
+    for f in [x for fg in pairs for x in fg] + prods:
+        for j in CFG.indices:
+            oracle_of_element(f, j, cache)
+    monkeypatch.undo()
+    _report(
+        "criterion 1 independence gate: the oracle without the canonical kernels",
+        mismatches == 0 and calls == 0,
+        f"{mismatches} mismatches in {len(pairs) * len(CFG.indices)} products, "
+        f"{calls} OracleSeries products or sums in warm expansions",
     )
 
 

@@ -1,25 +1,30 @@
-"""Digests of the kummer-qi benchmark results: norms, Hensel roots or
-prime-point valuations.
+"""Digests of benchmark results: kummer-qi norms, Hensel roots or
+prime-point valuations, and ring-ops oracle expansions.
 
     python3 tools/norm_digest.py --seeds 1 2 3
     python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
+    python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
 
 Run from the root of a checkout; the program is imported from ``src/`` and
 the requests are the ones ``bench/run.py`` draws for a seed.  For every
 request of the chosen kind it prints the seed, the request's place in the
 stream and the SHA-256 of the result's exact data:
 
-* ``norm`` (the default), norm-law requests: the norm's u2 power, t-shift
-  and the series data of its numerator;
-* ``hensel``, hensel requests: the series data of the root;
-* ``valuation``, norm-law and certificate requests: the prime-point
-  valuations of x, of x r^w, of its conjugates and of its norm, and the
-  whole certificate (valuation table, norm-law evidence, verdict).
+* ``norm`` (the default), kummer-qi norm-law requests: the norm's u2
+  power, t-shift and the series data of its numerator;
+* ``hensel``, kummer-qi hensel requests: the series data of the root;
+* ``valuation``, kummer-qi norm-law and certificate requests: the
+  prime-point valuations of x, of x r^w, of its conjugates and of its
+  norm, and the whole certificate (valuation table, norm-law evidence,
+  verdict);
+* ``oracle``, ring-ops mul and oracle requests (f, g): the denominator and
+  sorted data of the expansions of f and of g in f's chart (the
+  benchmark's ``OracleCache``) and of their ``OracleSeries`` product.
 
 Two checkouts compute identical results when their outputs are identical,
-so a change to ``KummerElement.norm``, ``hensel_root`` or
-``prime_point_valuation`` is checked by running this script in both and
-comparing the outputs.
+so a change to ``KummerElement.norm``, ``hensel_root``,
+``prime_point_valuation``, ``oracle_of_element`` or ``OracleSeries`` is
+checked by running this script in both and comparing the outputs.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from run import PASS_REQUESTS  # noqa: E402  (the pool of one run)
 from patchalg.analytic import prime_point_valuation  # noqa: E402
-
-REQUESTS = 120  # the pool of one kummer-qi run
+from patchalg.oracle import oracle_of_element  # noqa: E402
 
 
 def element_data(e) -> list:
@@ -64,11 +69,20 @@ def valuation_data(ctx, kind, inp):
     return [v0, vw, conj, prime_point_valuation(nrm, ctx["sc"].pt_r)]
 
 
-# --kind -> (request kinds digested, result data of one request)
+def oracle_data(ctx, kind, inp) -> list:
+    f, g = inp
+    cache = ctx["oracle"]
+    of = oracle_of_element(f, f.chart, cache)
+    og = oracle_of_element(g, f.chart, cache)
+    return [(s.den, sorted(s.data.items())) for s in (of, og, of * og)]
+
+
+# --kind -> (workload, request kinds digested, result data of one request)
 KINDS = {
-    "norm": ({"norm-law"}, norm_data),
-    "hensel": ({"hensel"}, hensel_data),
-    "valuation": ({"norm-law", "certificate"}, valuation_data),
+    "norm": ("kummer-qi", {"norm-law"}, norm_data),
+    "hensel": ("kummer-qi", {"hensel"}, hensel_data),
+    "valuation": ("kummer-qi", {"norm-law", "certificate"}, valuation_data),
+    "oracle": ("ring-ops", {"mul", "oracle"}, oracle_data),
 }
 
 
@@ -77,11 +91,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--kind", choices=sorted(KINDS), default="norm")
     args = ap.parse_args(argv)
-    names, data = KINDS[args.kind]
-    wl = workloads.WORKLOADS["kummer-qi"]
+    name, names, data = KINDS[args.kind]
+    wl = workloads.WORKLOADS[name]
     for seed in args.seeds:
         ctx = wl.setup()
-        for n, (kind, inp) in enumerate(wl.stream(ctx, random.Random(f"{wl.name}/{seed}"), REQUESTS)):
+        for n, (kind, inp) in enumerate(wl.stream(ctx, random.Random(f"{wl.name}/{seed}"),
+                                                  PASS_REQUESTS[name])):
             if kind.name in names:
                 digest = hashlib.sha256(repr(data(ctx, kind, inp)).encode()).hexdigest()
                 print(seed, n, digest)
