@@ -375,11 +375,12 @@ class _SeriesAcc:
         return new_den // tden
 
     def add_product(self, x: TruncSeries, y: TruncSeries,
-                    xt: Optional[list] = None, yt: Optional[list] = None) -> None:
+                    xt: Optional[tuple] = None, yt: Optional[tuple] = None) -> None:
         """self += x*y mod t^prec; both factors must be at least as precise.
 
-        xt and yt are the factors' ``series.terms``, for a caller that
-        multiplies one series by many and lists its terms once.
+        xt and yt are the factors' ``series.terms`` (the nonzero terms of
+        each component, listed separately), for a caller that multiplies
+        one series by many and lists its terms once.
         """
         if x.prec < self.prec or y.prec < self.prec:
             raise ValueError("factor less precise than the accumulator")
@@ -596,8 +597,12 @@ class AnalyticElement:
 
     def scale(self, s) -> "AnalyticElement":
         s = self.cfg.scalar(s)
+        if s.field != self.cfg.field:
+            raise FieldError("scalar over a different field")
+        nums, sden = _coords_to_ints(s.coords)
         return AnalyticElement(
-            self.cfg, self.chart, self.f0.scale(s), {kn: c.scale(s) for kn, c in self.zc.items()}
+            self.cfg, self.chart, self.f0.scale_ints(nums, sden),
+            {kn: c.scale_ints(nums, sden) for kn, c in self.zc.items()},
         )
 
     def scale_series(self, s: TruncSeries) -> "AnalyticElement":
@@ -709,10 +714,12 @@ def ae_dot(pairs) -> AnalyticElement:
     The workhorse behind element and matrix products: every series product
     is convolved straight into a shared accumulator (``add_product``), so no
     product is built as a series of its own and nothing is re-canonicalized
-    between summands.  A product on f0 or on a single index goes to its
-    slot.  A cross product z_i^a z_j^b (i < j) goes to cell (a, b) of a grid
-    kept per index pair, and after the last product each grid is reduced
-    once, from the highest a + b down: by
+    between summands.  Each factor's ``series.terms`` (per component) are
+    listed once per call, however many products the factor enters.  A
+    product on f0 or on a single index goes to its slot.  A cross product
+    z_i^a z_j^b (i < j) goes to cell (a, b) of a grid kept per index pair,
+    and after the last product each grid is reduced once, from the highest
+    a + b down: by
 
         z_i^a z_j^b = alpha z_i^a z_j^(b-1) + beta z_i^(a-1) z_j^b,
 
@@ -1234,7 +1241,7 @@ class _EpsPoly:
                 continue
             ta = terms(a._c)
             for j, (b, tb) in enumerate(right[: lim - i]):
-                if tb:
+                if not b.is_zero():
                     out[i + j].add_product(a, b, ta, tb)
         return _EpsPoly([o.result() for o in out], self.budget)
 

@@ -15,11 +15,12 @@ field, one otherwise).  That keeps the inner loops in machine integers; the
 ``Scalar`` view is materialized on demand and is exact either way.
 
 Every product of ``TruncSeries`` goes through one kernel, ``mul_into``,
-which adds scale * x * y into per-component integer lists, running over the
-nonzero terms of both factors (``terms``).  ``TruncSeries.__mul__`` runs it
-on fresh zero lists; the accumulators of ``analytic`` run it straight into
-their own lists, so a sum of products builds no intermediate series, and a
-caller that multiplies one series by many lists its terms once.
+which adds scale * x * y into per-component integer lists: one real
+convolution per pair of nonempty components of the factors' ``terms``, so
+over Q(i) a real factor costs what it costs over Q.  ``TruncSeries.__mul__``
+runs it on fresh zero lists; the accumulators of ``analytic`` run it
+straight into their own lists, so a sum of products builds no intermediate
+series, and a caller that multiplies one series by many lists its terms once.
 """
 
 from __future__ import annotations
@@ -79,48 +80,50 @@ def _normalize(den: int, comps: list[list[int]]) -> tuple[int, tuple]:
     return den, tuple(tuple(comp) for comp in comps)
 
 
-def terms(comps) -> list:
-    """Nonzero terms of a ``_c`` layout in order of t-degree: (n, a) over Q,
-    (n, re, im) over Q(i)."""
+def terms(comps) -> tuple:
+    """The nonzero terms (n, a) of each component of a ``_c`` layout, in
+    order of t-degree: one list over Q, (re, im) over Q(i)."""
     if len(comps) == 1:
-        return [(n, a) for n, a in enumerate(comps[0]) if a]
+        return [(n, a) for n, a in enumerate(comps[0]) if a],
     re, im = comps
-    return [(n, a, b) for n, (a, b) in enumerate(zip(re, im)) if a or b]
+    return ([(n, a) for n, a in enumerate(re) if a],
+            [(n, a) for n, a in enumerate(im) if a])
 
 
-def mul_into(out: list[list[int]], xt: list, yt: list, prec: int, scale: int = 1) -> None:
+def mul_into(out: list[list[int]], xt: tuple, yt: tuple, prec: int, scale: int = 1) -> None:
     """out += scale * x * y mod t^prec, in per-component integer lists.
 
     out uses the ``_c`` layout of ``TruncSeries``: one integer list per
     component, one over Q and (re, im) over Q(i).  x and y come as their
-    nonzero ``terms``, scaled to their own denominators, which the caller
-    accounts for in ``scale``.  Every product of a left and a right term
-    below t^prec is made once; over Q(i) it is one complex product.
+    ``terms``, scaled to their own denominators, which the caller accounts
+    for in ``scale``.  One real loop multiplies every pair of terms below
+    t^prec; over Q(i) it runs per pair of nonempty components, re += xr yr
+    - xi yi and im += xr yi + xi yr.
     """
-    if len(out) == 1:
-        comp = out[0]
-        for i, a in xt:
-            lim = prec - i
-            if lim <= 0:
+    if len(out) == 2:
+        (re, im), (xr, xi), (yr, yi) = out, xt, yt
+        if xr:
+            if yr:
+                mul_into((re,), (xr,), (yr,), prec, scale)
+            if yi:
+                mul_into((im,), (xr,), (yi,), prec, scale)
+        if xi:
+            if yr:
+                mul_into((im,), (xi,), (yr,), prec, scale)
+            if yi:
+                mul_into((re,), (xi,), (yi,), prec, -scale)
+        return
+    comp = out[0]
+    yt = yt[0]
+    for i, a in xt[0]:
+        lim = prec - i
+        if lim <= 0:
+            break
+        a *= scale
+        for j, b in yt:
+            if j >= lim:
                 break
-            a *= scale
-            for j, b in yt:
-                if j >= lim:
-                    break
-                comp[i + j] += a * b
-    else:
-        re, im = out
-        for i, a, b in xt:
-            lim = prec - i
-            if lim <= 0:
-                break
-            a *= scale
-            b *= scale
-            for j, c, d in yt:
-                if j >= lim:
-                    break
-                re[i + j] += a * c - b * d
-                im[i + j] += a * d + b * c
+            comp[i + j] += a * b
 
 
 class TruncSeries:
@@ -273,18 +276,28 @@ class TruncSeries:
     def scale(self, s: Scalar) -> "TruncSeries":
         if s.field != self.field:
             raise FieldError("scalar over a different field")
-        nums, sden = _coords_to_ints(s.coords)
-        den = self.den * sden
-        if self.field.dim == 1:
-            comps = [[nums[0] * x for x in self._c[0]]]
+        return self.scale_ints(*_coords_to_ints(s.coords))
+
+    def scale_ints(self, nums, sden: int) -> "TruncSeries":
+        """self * nums/sden, a scalar in ``_coords_to_ints`` form.  Over Q(i)
+        a real or purely imaginary scalar multiplies by its nonzero
+        component only."""
+        if len(nums) == 1:
+            a = nums[0]
+            comps = [[a * x for x in self._c[0]]]
         else:
             a, b = nums
             re, im = self._c
-            comps = [
-                [a * x - b * y for x, y in zip(re, im)],
-                [a * y + b * x for x, y in zip(re, im)],
-            ]
-        return TruncSeries(self.field, self.prec, den, comps)
+            if not b:
+                comps = [[a * x for x in re], [a * y for y in im]]
+            elif not a:
+                comps = [[-b * y for y in im], [b * x for x in re]]
+            else:
+                comps = [
+                    [a * x - b * y for x, y in zip(re, im)],
+                    [a * y + b * x for x, y in zip(re, im)],
+                ]
+        return TruncSeries(self.field, self.prec, self.den * sden, comps)
 
     def shift_up(self, e: int) -> "TruncSeries":
         """Multiply by t^e (e >= 0); precision window unchanged."""

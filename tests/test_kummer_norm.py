@@ -2,8 +2,11 @@
 tower of fixed fields.
 
 Over Q(i), in degrees 2 and 4, with the radicand r'/u2 (u2 power 1) of the
-kummer-qi benchmark set-up and random coordinates, some of them zero.  The
-reference is the product of all q conjugates, written out here.
+kummer-qi benchmark set-up and random coordinates, some of them zero: at
+N = 8 with integer coordinates, and at N = 12 (the benchmark's precision)
+with coordinates x + i y, some of them real or purely imaginary, so that
+every component pass of the series product runs.  The reference is the
+product of all q conjugates, written out here.
 """
 
 import random
@@ -56,9 +59,9 @@ def conjugate_product(x):
     return acc.coords[0]
 
 
-def same_value(c1, c2) -> bool:
+def same_value(c1, c2, u2=SC.u2) -> bool:
     p = max(c1.u2pow, c2.u2pow)
-    return c1.lifted(p, SC.u2).equals(c2.lifted(p, SC.u2))
+    return c1.lifted(p, u2).equals(c2.lifted(p, u2))
 
 
 @settings(max_examples=30)
@@ -86,6 +89,62 @@ def test_norm_is_galois_invariant(xs):
     (x,) = xs
     for l in range(1, x.ext.degree):
         assert same_value(x.galois(l).norm(), x.norm())
+
+
+CFG12 = Configuration(QI, [0, 1, 2], 12)
+SC12 = build_scenario(CFG12, 2, 1, 3, 2, 2)
+EXT12 = {q: KummerExtension.create(CFG12, SC12.j, q, SC12.rp.rebase(SC12.j),
+                                   u2=SC12.u2, radicand_u2_power=1) for q in (2, 4)}
+I = Scalar.of(QI, 0, 1)
+
+
+@st.composite
+def complex_elements(draw, count=1):
+    """``count`` elements of one N = 12 extension, each coordinate x + i y
+    for random ring elements x and y, or only x, only i y, or zero."""
+    ext = EXT12[draw(st.sampled_from([2, 4]))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ring = frozenset(CFG12.indices) - {SC12.i}
+    zero = analytic.AnalyticElement.zero(CFG12, SC12.j)
+    shapes = st.sampled_from(["complex", "complex", "real", "imaginary", "zero"])
+    out = []
+    for _ in range(count):
+        coords = []
+        for _n in range(ext.degree):
+            shape = draw(shapes)
+            x = random_ring_element(CFG12, rng, ring, SC12.j) if shape in ("complex", "real") else zero
+            if shape in ("complex", "imaginary"):
+                x = x + random_ring_element(CFG12, rng, ring, SC12.j).scale(I)
+            coords.append(x)
+        out.append(ext.element(coords))
+    return out
+
+
+@settings(max_examples=30)
+@given(complex_elements())
+def test_complex_norm_at_n12_is_the_product_of_all_conjugates(xs):
+    (x,) = xs
+    got, want = x.norm(), conjugate_product(x)
+    assert got.u2pow == want.u2pow
+    assert got.elem.tshift == want.elem.tshift
+    assert got.elem.body == want.elem.body
+
+
+@settings(max_examples=15)
+@given(complex_elements(count=2))
+def test_complex_norm_at_n12_is_multiplicative(xy):
+    x, y = xy
+    nx, ny = x.norm(), y.norm()
+    product = _Coord(nx.elem * ny.elem, nx.u2pow + ny.u2pow)
+    assert same_value((x * y).norm(), product, SC12.u2)
+
+
+@settings(max_examples=15)
+@given(complex_elements())
+def test_complex_norm_at_n12_is_galois_invariant(xs):
+    (x,) = xs
+    for l in range(1, x.ext.degree):
+        assert same_value(x.galois(l).norm(), x.norm(), SC12.u2)
 
 
 def test_norm_rejects_a_non_primitive_root_of_unity():

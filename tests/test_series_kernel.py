@@ -4,9 +4,12 @@ entry points: ``TruncSeries.__mul__`` and ``_SeriesAcc.add_product``.
 Over Q and Q(i) (real, purely imaginary and complex coefficients), with
 valuations up to prec - 1, all-zero series, and unequal precisions and
 denominators.  The reference is a schoolbook product over ``Scalar``
-coefficients, written out here.
+coefficients, written out here.  An op-count gate counts the term pairs
+the convolution multiplies: over Q(i) a product costs one real convolution
+per pair of nonzero components.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from patchalg.analytic import _SeriesAcc
 from patchalg.scalars import QQ, Scalar, cyclotomic_field
-from patchalg.series import TruncSeries
+from patchalg.series import TruncSeries, mul_into, terms
 
 QI = cyclotomic_field(4)
 
@@ -85,3 +88,61 @@ def test_add_product_rejects_a_less_precise_factor():
     x = TruncSeries.one(QQ, 6)
     with pytest.raises(ValueError):
         acc.add_product(x, TruncSeries.one(QQ, 5))
+
+
+def term_pairs(x: TruncSeries, y: TruncSeries) -> int:
+    """Term pairs that ``mul_into`` multiplies for x * y: every coefficient
+    of y counts each product it enters, and the result must be x * y."""
+    count = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal count
+            count += 1
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    prec = min(x.prec, y.prec)
+    out = [[0] * prec for _ in x._c]
+    yt = tuple([(n, Counted(b)) for n, b in comp] for comp in terms(y._c))
+    mul_into(out, terms(x._c), yt, prec)
+    assert TruncSeries(x.field, prec, x.den * y.den, out) == x * y
+    return count
+
+
+def integer_rows(seed: int, prec: int, dense: bool) -> list:
+    """Integer coefficients of a series of valuation up to 3 (dense: every
+    coefficient from the valuation on nonzero)."""
+    rng = random.Random(seed)
+    v = 0 if dense else rng.randrange(4)
+    rows = [0] * v
+    for _ in range(v, prec):
+        c = rng.choice([-3, -2, -1, 1, 2, 3]) if dense or rng.random() < 0.6 else 0
+        rows.append(c)
+    rows[v] = rows[v] or 1
+    return rows
+
+
+def qi_series(re: list, im: list) -> TruncSeries:
+    return TruncSeries.from_scalars(QI, [Scalar.of(QI, a, b) for a, b in zip(re, im)], len(re))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dense", [False, True])
+def test_qi_product_term_pairs(seed, dense):
+    """Over Q(i) a real x real and a real x imaginary product multiply
+    exactly the term pairs of the same product over Q, and a dense complex x
+    complex product four times as many; a loop that made one complex
+    product per term pair would count four for each."""
+    px, py = 12, 12 - seed % 3
+    xr, yr = integer_rows(2 * seed, px, dense), integer_rows(2 * seed + 1, py, dense)
+    over_q = term_pairs(TruncSeries.from_scalars(QQ, xr, px), TruncSeries.from_scalars(QQ, yr, py))
+    zx, zy = [0] * px, [0] * py
+    assert term_pairs(qi_series(xr, zx), qi_series(yr, zy)) == over_q
+    assert term_pairs(qi_series(xr, zx), qi_series(zy, yr)) == over_q
+    assert term_pairs(qi_series(zx, xr), qi_series(yr, zy)) == over_q
+    if dense:
+        prec = min(px, py)
+        assert over_q == prec * (prec + 1) // 2
+        assert term_pairs(qi_series(xr, xr[::-1]), qi_series(yr, yr[::-1])) == 4 * over_q

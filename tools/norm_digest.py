@@ -1,9 +1,10 @@
 """Digests of benchmark results: kummer-qi norms, Hensel roots or
-prime-point valuations, and ring-ops oracle expansions.
+prime-point valuations, ring-ops oracle expansions and cartan factors.
 
     python3 tools/norm_digest.py --seeds 1 2 3
     python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
     python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
+    python3 tools/norm_digest.py --kind cartan --seeds 1 2 3
 
 Run from the root of a checkout; the program is imported from ``src/`` and
 the requests are the ones ``bench/run.py`` draws for a seed.  For every
@@ -19,11 +20,15 @@ stream and the SHA-256 of the result's exact data:
   verdict);
 * ``oracle``, ring-ops mul and oracle requests (f, g): the denominator and
   sorted data of the expansions of f and of g in f's chart (the
-  benchmark's ``OracleCache``) and of their ``OracleSeries`` product.
+  benchmark's ``OracleCache``) and of their ``OracleSeries`` product;
+* ``cartan``, cartan factor and gl requests: every entry (t-shift and
+  exact series) of the factors b1 and b2 of ``cartan_factor`` or
+  ``gl_factor``, and the round count.
 
 Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``hensel_root``,
-``prime_point_valuation``, ``oracle_of_element`` or ``OracleSeries`` is
+``prime_point_valuation``, ``oracle_of_element``, ``OracleSeries``,
+``cartan_factor`` or ``gl_factor`` (or the series product under them) is
 checked by running this script in both and comparing the outputs.
 """
 
@@ -42,6 +47,7 @@ import workloads  # noqa: E402
 from run import PASS_REQUESTS  # noqa: E402  (the pool of one run)
 from patchalg.analytic import prime_point_valuation  # noqa: E402
 from patchalg.oracle import oracle_of_element  # noqa: E402
+from patchalg.patching import cartan_factor, gl_factor  # noqa: E402
 
 
 def element_data(e) -> list:
@@ -77,12 +83,28 @@ def oracle_data(ctx, kind, inp) -> list:
     return [(s.den, sorted(s.data.items())) for s in (of, og, of * og)]
 
 
+def matrix_data(m) -> list:
+    """Chart and the t-shift and exact data of every entry of a matrix."""
+    return [m.chart, [[(x.tshift, *element_data(x.body)) for x in row] for row in m.rows]]
+
+
+def cartan_data(ctx, kind, inp) -> list:
+    if kind.name == "factor":
+        a, i = inp
+        res = cartan_factor(a, i)
+    else:
+        b1, b2, i = inp
+        res = gl_factor(b1 * b2, i)
+    return [matrix_data(res.b1), matrix_data(res.b2), res.rounds]
+
+
 # --kind -> (workload, request kinds digested, result data of one request)
 KINDS = {
     "norm": ("kummer-qi", {"norm-law"}, norm_data),
     "hensel": ("kummer-qi", {"hensel"}, hensel_data),
     "valuation": ("kummer-qi", {"norm-law", "certificate"}, valuation_data),
     "oracle": ("ring-ops", {"mul", "oracle"}, oracle_data),
+    "cartan": ("cartan", {"factor", "gl"}, cartan_data),
 }
 
 
