@@ -275,6 +275,15 @@ class KummerExtension:
     zeta: Scalar
     radicand: _Coord
     u2: Optional[AnalyticElement] = None
+    zeta_powers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """zeta_powers[l] = zeta^l for 0 <= l < degree, read by ``galois`` and
+        by the weights of ``KummerElement.norm``."""
+        powers = [Scalar.one(self.cfg.field)]
+        for _ in range(1, self.degree):
+            powers.append(powers[-1] * self.zeta)
+        self.zeta_powers = tuple(powers)
 
     @staticmethod
     def create(cfg: Configuration, chart: int, degree: int, radicand,
@@ -347,53 +356,19 @@ class KummerElement:
         return self + (-other)
 
     def __mul__(self, other: "KummerElement") -> "KummerElement":
-        """The product, with one ``ae_dot`` per output coordinate n.
-
-        The coordinate pairs with n1 + n2 = n (mod q) are brought to the
-        largest u2 power among them and to the smallest t-shift: a pair that
-        wraps past alpha^q has its right factor times the radicand, a pair
-        below the largest power has its right factor times u2 to the
-        difference, and a pair above the smallest shift has its left body
-        shifted up, as ``PatchMatrix.__mul__`` aligns t-shifts.  Each right
-        factor is built once per product and shared by every pair that uses
-        it.
-        """
+        """The product: every ordered pair of nonzero coordinates, weight 1,
+        with one ``ae_dot`` per output coordinate (``_coordinate_products``)."""
         self._check(other)
-        ext = self.ext
-        q = ext.degree
-        rad_pow = ext.radicand.u2pow
-        groups = [[] for _ in range(q)]  # n -> [(left factor, n2, wraps, u2 power)]
+        q = self.ext.degree
+        one = self.ext.zeta_powers[0]
+        groups = [[] for _ in range(q)]
         for n1, c1 in enumerate(self.coords):
             if c1.is_zero():
                 continue
             for n2, c2 in enumerate(other.coords):
-                if c2.is_zero():
-                    continue
-                wraps = n1 + n2 >= q
-                power = c1.u2pow + c2.u2pow + (rad_pow if wraps else 0)
-                groups[(n1 + n2) % q].append((c1.elem, n2, wraps, power))
-        right: dict = {}  # (n2, wraps, lift) -> other.coords[n2] * radicand^wraps * u2^lift
-        out = []
-        for group in groups:
-            if not group:
-                out.append(_Coord(AnalyticElement.zero(ext.cfg, ext.chart, ext.cfg.precision)))
-                continue
-            top = max(power for *_rest, power in group)
-            factors = []
-            for f, n2, wraps, power in group:
-                key = (n2, wraps, top - power)
-                g = right.get(key)
-                if g is None:
-                    g = other.coords[n2].elem
-                    if wraps:
-                        g = g * ext.radicand.elem
-                    g = _Coord(g).lifted(top - power, ext.u2)
-                    right[key] = g
-                factors.append((f, g))
-            smin = min(f.tshift + g.tshift for f, g in factors)
-            pairs = [(f.body.shift_t(f.tshift + g.tshift - smin), g.body) for f, g in factors]
-            out.append(_Coord(LocalizedElement(ae_dot(pairs), smin), top))
-        return KummerElement(ext, tuple(out))
+                if not c2.is_zero():
+                    groups[(n1 + n2) % q].append((n1, n2, one))
+        return _coordinate_products(self.ext, self.coords, other.coords, groups)
 
     def scale(self, s) -> "KummerElement":
         return KummerElement(
@@ -409,13 +384,12 @@ class KummerElement:
 
     def galois(self, l: int = 1) -> "KummerElement":
         """The action alpha -> zeta^l alpha: coordinate n picks up zeta^{ln}."""
-        z = self.ext.zeta ** l
-        out = []
-        zpow = Scalar.one(self.ext.cfg.field)
-        for n, c in enumerate(self.coords):
-            out.append(_Coord(c.elem.scale(zpow), c.u2pow) if n else c)
-            zpow = zpow * z
-        return KummerElement(self.ext, tuple(out))
+        z = self.ext.zeta_powers
+        q = self.ext.degree
+        return KummerElement(self.ext, tuple(
+            _Coord(c.elem.scale(z[l * n % q]), c.u2pow) if n else c
+            for n, c in enumerate(self.coords)
+        ))
 
     def norm(self) -> _Coord:
         """Product of all Galois conjugates; lands in the base (verified).
@@ -428,12 +402,34 @@ class KummerElement:
         higher coordinates must vanish.  For q = 4 that is two products, the
         second on coordinates 0 and 2 only, against three generic ones for
         x * sigma(x) * sigma^2(x) * sigma^3(x).
+
+        Each step multiplies every unordered pair n1 <= n2 of nonzero
+        coordinates once: the ordered pairs (n1, n2) and (n2, n1) of
+        x * sigma^s(x) are x_n1 x_n2 times zeta^(s n2) and zeta^(s n1), so
+        the pair enters with the weight w = zeta^(s n1) + zeta^(s n2), or
+        zeta^(s n1) when n1 = n2.  A pair of weight exactly zero cancels and
+        is dropped; for a primitive zeta those pairs fill exactly the
+        output coordinates that must vanish.  The weights are read from the
+        extension's own zeta, so a zeta that is not primitive still trips
+        the check: with zeta = -1 in degree 4, sigma^2 is the identity, the
+        mixed pairs of the first step get weight 2 and the odd coordinates
+        do not vanish.
         """
-        q = self.ext.degree
+        ext = self.ext
+        q = ext.degree
+        z = ext.zeta_powers
         acc = self
         step = q // 2
         while step:
-            acc = acc * acc.galois(step)
+            nonzero = [n for n, c in enumerate(acc.coords) if not c.is_zero()]
+            groups = [[] for _ in range(q)]
+            for i, n1 in enumerate(nonzero):
+                w1 = z[step * n1 % q]
+                for n2 in nonzero[i:]:
+                    w = w1 if n1 == n2 else w1 + z[step * n2 % q]
+                    if not w.is_zero():
+                        groups[(n1 + n2) % q].append((n1, n2, w))
+            acc = _coordinate_products(ext, acc.coords, acc.coords, groups)
             for n in range(q):
                 if n % step and not acc.coords[n].is_zero():
                     raise ArithmeticError(
@@ -463,6 +459,52 @@ class KummerElement:
         if best is None:
             raise ValueError("element is zero at this precision")
         return best
+
+
+def _coordinate_products(ext: KummerExtension, left: tuple, right: tuple,
+                         groups: list) -> KummerElement:
+    """The element whose coordinate n is the sum over the entries (n1, n2, w)
+    of groups[n] of w * left[n1] * right[n2], times the radicand when
+    n1 + n2 >= q, with one ``ae_dot`` per output coordinate.
+
+    The entries of a coordinate are brought to the largest u2 power among
+    them and to the smallest t-shift: an entry that wraps past alpha^q has
+    its right factor times the radicand, an entry below the largest power
+    has its right factor times u2 to the difference, and an entry above the
+    smallest shift has its left body shifted up, as ``PatchMatrix.__mul__``
+    aligns t-shifts.  Each right factor is built once per product, keyed
+    (n2, wraps, lift), and shared by every entry that uses it; an entry
+    scales it by its weight w unless w is 1.
+    """
+    q = ext.degree
+    rad_pow = ext.radicand.u2pow
+    built: dict = {}  # (n2, wraps, lift) -> right[n2] * radicand^wraps * u2^lift
+    out = []
+    for group in groups:
+        if not group:
+            out.append(_Coord(AnalyticElement.zero(ext.cfg, ext.chart, ext.cfg.precision)))
+            continue
+        entries = []
+        for n1, n2, w in group:
+            wraps = n1 + n2 >= q
+            power = left[n1].u2pow + right[n2].u2pow + (rad_pow if wraps else 0)
+            entries.append((left[n1].elem, n2, wraps, power, w))
+        top = max(entry[3] for entry in entries)
+        factors = []
+        for f, n2, wraps, power, w in entries:
+            key = (n2, wraps, top - power)
+            g = built.get(key)
+            if g is None:
+                g = right[n2].elem
+                if wraps:
+                    g = g * ext.radicand.elem
+                g = _Coord(g).lifted(top - power, ext.u2)
+                built[key] = g
+            factors.append((f, g if w.is_one() else g.scale(w)))
+        smin = min(f.tshift + g.tshift for f, g in factors)
+        pairs = [(f.body.shift_t(f.tshift + g.tshift - smin), g.body) for f, g in factors]
+        out.append(_Coord(LocalizedElement(ae_dot(pairs), smin), top))
+    return KummerElement(ext, tuple(out))
 
 
 # ---------------------------------------------------------------------------

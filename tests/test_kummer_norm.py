@@ -5,7 +5,8 @@ Over Q(i), in degrees 2 and 4, with the radicand r'/u2 (u2 power 1) of the
 kummer-qi benchmark set-up and random coordinates, some of them zero: at
 N = 8 with integer coordinates, and at N = 12 (the benchmark's precision)
 with coordinates x + i y, some of them real or purely imaginary, so that
-every component pass of the series product runs.  The reference is the
+every component pass of the series product runs; at N = 8 also with
+coordinates that carry u2 powers and t-shifts.  The reference is the
 product of all q conjugates, written out here.
 """
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import patchalg.analytic as analytic
 import patchalg.kummer as kummer
-from patchalg.analytic import Configuration
+from patchalg.analytic import Configuration, LocalizedElement
 from patchalg.kummer import KummerExtension, _Coord, build_scenario, random_ring_element
 from patchalg.scalars import Scalar, cyclotomic_field
 
@@ -91,6 +92,34 @@ def test_norm_is_galois_invariant(xs):
         assert same_value(x.galois(l).norm(), x.norm())
 
 
+@st.composite
+def aligned_elements(draw):
+    """One element of degree 2 or 4 whose coordinates carry u2 powers 0-2
+    and t-shifts -2..2, some of them zero."""
+    ext = EXT[draw(st.sampled_from([2, 4]))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zero = analytic.AnalyticElement.zero(CFG, SC.j)
+    coords = []
+    for _ in range(ext.degree):
+        if draw(st.integers(0, 3)) == 0:
+            coords.append(_Coord(zero))
+            continue
+        body = LocalizedElement(random_ring_element(CFG, rng, RING, SC.j), draw(st.integers(-2, 2)))
+        coords.append(_Coord(body, draw(st.integers(0, 2))))
+    return ext.element(coords)
+
+
+@settings(max_examples=40)
+@given(aligned_elements())
+def test_norm_with_u2_powers_and_t_shifts_is_the_product_of_all_conjugates(x):
+    """The unordered pairs of each tower step reproduce the largest u2 power
+    and the smallest t-shift of the ordered conjugate product."""
+    got, want = x.norm(), conjugate_product(x)
+    assert got.u2pow == want.u2pow
+    assert got.elem.tshift == want.elem.tshift
+    assert got.elem.body == want.elem.body
+
+
 CFG12 = Configuration(QI, [0, 1, 2], 12)
 SC12 = build_scenario(CFG12, 2, 1, 3, 2, 2)
 EXT12 = {q: KummerExtension.create(CFG12, SC12.j, q, SC12.rp.rebase(SC12.j),
@@ -159,12 +188,16 @@ def test_norm_rejects_a_non_primitive_root_of_unity():
 
 
 def test_dense_degree_four_norm_work(monkeypatch):
-    """Two tower products, one ``ae_dot`` per output coordinate.  For
-    x * sigma^2(x): three right factors times the radicand (n2 = 1, 2, 3),
-    three times u2 (n2 = 0, 1, 2) and four coordinates; for the second step
-    on coordinates 0 and 2: one of each and two coordinates.  That is 14;
-    one product per coordinate pair took 30, and x * sigma(x) * sigma^2(x)
-    * sigma^3(x) takes 80."""
+    """Two tower products over unordered coordinate pairs, one ``ae_dot`` per
+    output coordinate whose pairs do not cancel.  For x * sigma^2(x) the
+    pairs of odd sum have weight zero, so only coordinates 0 ((0,0), (1,3),
+    (2,2)) and 2 ((0,2), (1,1), (3,3)) are computed: two right factors times
+    the radicand (n2 = 2, 3), three times u2 (n2 = 0, 1, 2) and two
+    coordinates; for the second step on coordinates 0 and 2 ((0,0) and
+    (2,2); (0,2) cancels): one of each and one coordinate.  That is 10, and
+    the coordinates take 3 + 3 + 2 pairs; ordered pairs took 14 calls and
+    20 pairs, one product per coordinate pair 30 calls, and x * sigma(x) *
+    sigma^2(x) * sigma^3(x) takes 80."""
     rng = random.Random(11)
     x = EXT[4].element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(4)])
     calls = []
@@ -178,5 +211,6 @@ def test_dense_degree_four_norm_work(monkeypatch):
     monkeypatch.setattr(kummer, "ae_dot", counted)
     got = x.norm()
     monkeypatch.undo()
-    assert len(calls) <= 14
+    assert len(calls) <= 10
+    assert sorted(n for n in calls if n > 1) == [2, 3, 3]
     assert same_value(got, conjugate_product(x))
