@@ -36,11 +36,10 @@ caches (a transfer table only ever grows by appending columns).
 
 from __future__ import annotations
 
-import math
 from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
-from .scalars import FieldDescriptor, FieldError, Scalar
+from .scalars import FieldDescriptor, FieldError, Scalar, coord_mul
 from .series import (
     INF,
     NonUnitError,
@@ -48,6 +47,7 @@ from .series import (
     TruncSeries,
     _coords_to_ints,
     mul_into,
+    newton_inverse,
     poly_simple_root,
     terms,
 )
@@ -228,15 +228,6 @@ def default_configuration(precision: int = 16) -> Configuration:
     return Configuration(QQ, [0, 1, 2], precision)
 
 
-def _nums_mul(x: list, y: list) -> list:
-    """Product of two integer coordinate vectors (over Z, or Z[i] with w^2 = -1)."""
-    if len(x) == 1:
-        return [x[0] * y[0]]
-    a, b = x
-    c, d = y
-    return [a * c - b * d, a * d + b * c]
-
-
 class _TransferTable:
     """Weights of the chart change j -> j2 on one source slot z_k^n.
 
@@ -290,13 +281,13 @@ class _TransferTable:
             u = zero
             for r in range(n, 0, -1):
                 e = col.get((k, r), zero)
-                u = _nums_mul(self.bn, [x * self.bd_pow[n - r] + y for x, y in zip(e, u)])
+                u = coord_mul(self.bn, [x * self.bd_pow[n - r] + y for x, y in zip(e, u)])
                 z[(k, r)] = [-x * self.bd_pow[r - 1] for x in u]
             z[(j2, 1)] = [x + y for x, y in zip(z.get((j2, 1), zero), u)]
         f = self.dd * B
         new = {slot: [x * f for x in v] for slot, v in col.items()}
         for slot, v in z.items():
-            dv = _nums_mul(self.dn, v)
+            dv = coord_mul(self.dn, v)
             old = new.get(slot)
             new[slot] = dv if old is None else [x + y for x, y in zip(old, dv)]
         g = den = self.den * f
@@ -1075,17 +1066,6 @@ def _unit_factorization(f: AnalyticElement):
     return const, list(zip(denom_idx, roots))
 
 
-def _invert_one_plus_small(g: AnalyticElement) -> AnalyticElement:
-    """Inverse of g = 1 + h with valuation(h) >= 1, by Newton doubling."""
-    cfg = g.cfg
-    prec = g.precision
-    x = AnalyticElement.one(cfg, g.chart, prec)
-    two = AnalyticElement.constant(cfg, 2, g.chart, prec)
-    for _ in range(max(1, math.ceil(math.log2(prec)))):
-        x = x * (two - g * x)
-    return x
-
-
 def unit_invert(f):
     """Invert a recognized unit; AnalyticElement in, AnalyticElement out
     (same for LocalizedElement).
@@ -1094,6 +1074,10 @@ def unit_invert(f):
     units (s - c_l)/(s - c_k) against the configured centers, and products
     of those with t-powers (localized input).  Anything else raises
     UnitNotRecognized, which deliberately does not claim non-invertibility.
+    The recognized factors leave a unit g = 1 mod t, inverted by
+    ``series.newton_inverse`` from 1: it stops as soon as g x = 1 mod t^N,
+    and raises ArithmeticError if that takes more than ceil(log2 N) + 1
+    steps.
     """
     if isinstance(f, LocalizedElement):
         body = f.body
@@ -1124,7 +1108,8 @@ def unit_invert(f):
     c2, z2 = g.t0_content()
     if z2 or not c2.is_one():
         raise UnitNotRecognized("recognizer postcondition failed: residual not 1 mod t")
-    out = _invert_one_plus_small(g).scale(const.inverse())
+    one = AnalyticElement.one(f.cfg, f.chart, f.precision)
+    out = newton_inverse(g, one, one, f.precision).scale(const.inverse())
     for p in inv_parts:
         out = out * p
     return out
@@ -1192,17 +1177,19 @@ class PrimePoint:
             return out
         cfg = self.cfg
         prec = self.lam.prec
-        lam_plus = _EpsPoly([self.lam, cfg.one_series(prec)], budget)
+        one = cfg.one_series(prec)
         if k == self.chart:
-            out = lam_plus
+            out = _EpsPoly([self.lam, one], budget)
         else:
-            dk = cfg.centers[self.chart] - cfg.centers[k]
-            denom = _EpsPoly(
-                [cfg.one_series(prec) + self.lam.scale(dk),
-                 TruncSeries.constant(cfg.field, dk, prec)],
-                budget,
-            )
-            out = lam_plus * denom.invert_unit()
+            # (lambda + eps)/(D + d eps) with D = 1 + d lambda: eps^0 has
+            # lambda D^-1, eps^m has (-d)^(m-1) D^-(m+1) for m >= 1
+            d = cfg.centers[self.chart] - cfg.centers[k]
+            dinv = (one + self.lam.scale(d)).invert_unit()
+            ratio = dinv.scale(-d)
+            coeffs = [self.lam * dinv, dinv * dinv]
+            while len(coeffs) < budget:
+                coeffs.append(coeffs[-1] * ratio)
+            out = _EpsPoly(coeffs, budget)
         self._subst[key] = out
         return out
 
@@ -1216,23 +1203,9 @@ class _EpsPoly:
         self.budget = budget
         self.coeffs = list(coeffs[:budget])
 
-    def _field_prec(self):
-        c = self.coeffs[0]
-        return c.field, c.prec
-
-    def __add__(self, other: "_EpsPoly") -> "_EpsPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        field, prec = self._field_prec()
-        zero = TruncSeries.zero(field, prec)
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
-        return _EpsPoly(out, self.budget)
-
     def __mul__(self, other: "_EpsPoly") -> "_EpsPoly":
-        field, prec = self._field_prec()
+        c = self.coeffs[0]
+        field, prec = c.field, c.prec
         lim = min(self.budget, len(self.coeffs) + len(other.coeffs) - 1)
         out = [_SeriesAcc(field, prec) for _ in range(lim)]
         right = [(b, terms(b._c)) for b in other.coeffs[:lim]]
@@ -1244,21 +1217,6 @@ class _EpsPoly:
                 if not b.is_zero():
                     out[i + j].add_product(a, b, ta, tb)
         return _EpsPoly([o.result() for o in out], self.budget)
-
-    def invert_unit(self) -> "_EpsPoly":
-        """Inverse when the eps-free coefficient is a unit series."""
-        d0 = self.coeffs[0].invert_unit()
-        field, prec = self._field_prec()
-        # Newton on the eps filtration
-        x = _EpsPoly([d0], self.budget)
-        two = _EpsPoly([TruncSeries.constant(field, 2, prec)], self.budget)
-        steps = max(1, math.ceil(math.log2(max(2, self.budget))))
-        for _ in range(steps):
-            x = x * (two + (self * x).negate())
-        return x
-
-    def negate(self) -> "_EpsPoly":
-        return _EpsPoly([-c for c in self.coeffs], self.budget)
 
 
 def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",

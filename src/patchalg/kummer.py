@@ -24,7 +24,6 @@ valuation.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -41,7 +40,7 @@ from .analytic import (
     weierstrass_prepare_linear,
 )
 from .scalars import FieldError, Scalar, cyclotomic_field, root_of_unity
-from .series import BivarSeries, prime_valuation as bivar_prime_valuation
+from .series import BivarSeries, newton_passes, prime_valuation as bivar_prime_valuation
 
 __all__ = [
     "ScenarioError",
@@ -79,14 +78,15 @@ def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     """The q-th root of a congruent to 1, for a = 1 mod t.
 
     Newton iteration s <- s - (s^q - a) w, where w ~ (q s^{q-1})^{-1} is
-    carried from step to step and refined by one Newton step of its own,
-    w <- w (2 - q s^{q-1} w), instead of being inverted anew (Bernstein,
-    "Removing redundancy in high-precision Newton iteration").  Both errors
-    still square per step, so ceil(log2 N) + 1 steps suffice.  The
-    correction stays in the ideal, so s = 1 mod t throughout, and the
-    result is verified to satisfy s^q = a within the window before
-    returning; a root = 1 mod t is unique, so it is the one exact Newton
-    would give.
+    carried from step to step and refined by one step of
+    ``series.newton_inverse``'s iteration, w <- w - w (q s^{q-1} w - 1),
+    instead of being inverted anew (Bernstein, "Removing redundancy in
+    high-precision Newton iteration").  The loop returns as soon as the
+    residual s^{q-1} s - a vanishes within the window, so every root is
+    checked to satisfy s^q = a, and raises ArithmeticError if it has not
+    after ceil(log2 N) + 1 steps.  The correction stays in the ideal, so
+    s = 1 mod t throughout; a root = 1 mod t is unique, so it is the one
+    exact Newton would give.
     """
     if q < 1:
         raise ValueError("root order must be positive")
@@ -99,16 +99,16 @@ def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     if q == 1:
         return a
     qs = Scalar.of(cfg.field, q)
-    two = AnalyticElement.constant(cfg, 2, a.chart, a.precision)
     s = one
     w = unit_invert(one.scale(qs))
-    for _ in range(max(1, math.ceil(math.log2(a.precision))) + 1):
+    for _ in range(newton_passes(a.precision)):
         sq_1 = s ** (q - 1)
-        w = w * (two - sq_1.scale(qs) * w)
-        s = s - (sq_1 * s - a) * w
-    if not (s ** q).equals(a):
-        raise ArithmeticError("Hensel iteration failed to converge (internal bug)")
-    return s
+        residue = sq_1 * s - a
+        if residue.is_zero():
+            return s
+        w = w - w * (sq_1.scale(qs) * w - one)
+        s = s - residue * w
+    raise ArithmeticError("Hensel iteration failed to converge (internal bug)")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional
 
-from .scalars import FieldDescriptor, Scalar
+from .scalars import FieldDescriptor, Scalar, coord_mul
 from .series import TruncSeries, _coords_to_ints
 
 __all__ = [
@@ -173,16 +173,6 @@ def zvar(k: int) -> Expr:
 # ---------------------------------------------------------------------------
 # packed integer rows
 # ---------------------------------------------------------------------------
-
-
-def _cmul(x: tuple, y: tuple) -> tuple:
-    """Product of coordinate tuples: one entry over Q, (re, im) over Q(i).
-    The entries may be single numbers or packed rows."""
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
 
 
 def _width(bound: int) -> int:
@@ -347,7 +337,7 @@ class OracleSeries:
             for m2, b in rows_b.items():
                 m = m1 + m2
                 if m < M:
-                    p = _cmul(a, b)
+                    p = coord_mul(a, b)
                     cur = acc.get(m)
                     acc[m] = p if cur is None else tuple(map(operator.add, cur, p))
         lo = lo_a + lo_b
@@ -470,7 +460,7 @@ def _int_powers(delta: Scalar, count: int) -> tuple:
     x, q = _coords_to_ints(delta.coords)
     pw = [(1,) + (0,) * (len(x) - 1)]
     for _ in range(count - 1):
-        pw.append(_cmul(pw[-1], x))
+        pw.append(coord_mul(pw[-1], x))
     return q, pw
 
 
@@ -575,12 +565,12 @@ def oracle_of_element(f, chart: int, cache: OracleCache) -> OracleSeries:
     for s, mult, _m, row in slots:
         series = tuple(_pack(c[:N], W) for c in s._c)
         zrow = tuple(mult * _pack(r, w) for r in row)
-        acc = tuple(map(operator.add, acc, _cmul(series, zrow)))
+        acc = tuple(map(operator.add, acc, coord_mul(series, zrow)))
     out = {}
     for m, row in enumerate(zip(*(_unpack(x, W, N) for x in acc))):
         if any(row):
             g = tuple(_pack(r, w) for r in stretch[m])
-            for i, v in enumerate(zip(*(_unpack(x, w, M) for x in _cmul(row, g)))):
+            for i, v in enumerate(zip(*(_unpack(x, w, M) for x in coord_mul(row, g)))):
                 out[(i, m)] = v
     return OracleSeries(f.cfg.field, M, N, den * gden, out)
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 __all__ = [
     "FieldError",
     "FieldDescriptor",
     "Scalar",
     "QQ",
+    "coord_mul",
     "cyclotomic_field",
     "field_arith",
     "root_of_unity",
@@ -165,12 +166,7 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if self.field.dim == 1:
-            return Scalar(self.field, (self.coords[0] * other.coords[0],))
-        a, b = self.coords
-        c, d = other.coords
-        # (a + b w)(c + d w) with w^2 = -1
-        return Scalar(self.field, (a * c - b * d, a * d + b * c))
+        return Scalar(self.field, coord_mul(self.coords, other.coords))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -206,6 +202,17 @@ class Scalar:
         if not a:
             return f"{b}*w"
         return f"{a} + {b}*w"
+
+
+def coord_mul(x: Sequence, y: Sequence) -> tuple:
+    """Product of coordinate vectors: one entry over Q, (a, b) for a + b w
+    with w^2 = -1 over the order-4 cyclotomic field.  The entries may be
+    Fractions, integers or packed integer rows."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
 
 
 def field_arith(op: str, x: Scalar, y: Scalar) -> Scalar:

@@ -38,6 +38,7 @@ __all__ = [
     "TruncSeries",
     "BivarSeries",
     "vt",
+    "newton_inverse",
     "poly_simple_root",
     "weierstrass_div",
     "prime_valuation",
@@ -327,15 +328,44 @@ class TruncSeries:
         return TruncSeries(self.field, prec, self.den, [c[:prec] for c in self._c])
 
     def invert_unit(self) -> "TruncSeries":
-        """Inverse mod t^prec of a series with invertible constant term."""
+        """Inverse mod t^prec of a series with invertible constant term, by
+        ``newton_inverse`` from the inverse of the constant term: it stops
+        as soon as u*x = 1 mod t^prec, and raises ArithmeticError if that
+        takes more than ceil(log2 prec) + 1 steps."""
         c0 = self.coeff(0)
         if c0.is_zero():
             raise NonUnitError("no inverse: constant coefficient is zero")
-        x = TruncSeries.constant(self.field, c0.inverse(), self.prec)
-        two = TruncSeries.constant(self.field, 2, self.prec)
-        for _ in range(max(1, math.ceil(math.log2(self.prec)))):
-            x = x * (two - self * x)
-        return x
+        return newton_inverse(
+            self, TruncSeries.constant(self.field, c0.inverse(), self.prec),
+            TruncSeries.one(self.field, self.prec), self.prec,
+        )
+
+
+def newton_passes(prec: int) -> int:
+    """Pass cap of a Newton loop to precision prec, one residual check per
+    pass and one step after each failing check: each step squares the
+    error, so ceil(log2 prec) steps reach t^prec from an error of order
+    one, and one more step is slack."""
+    return max(1, math.ceil(math.log2(prec))) + 2
+
+
+def newton_inverse(u, x, one, prec: int):
+    """u^-1 from x with u*x = 1 mod t, in any commutative ring of truncated
+    series (``TruncSeries``, ``BivarSeries``, ``AnalyticElement``).
+
+    Repeats e = u*x - 1, x <- x - x*e (Bernstein, "Removing redundancy in
+    high-precision Newton iteration") and returns x as soon as e vanishes
+    to precision, so the result is checked exact and an exact start costs
+    one product.  If e has not vanished after ceil(log2 prec) + 1 steps
+    (``newton_passes``), which happens when u*x != 1 mod t, it raises
+    ArithmeticError.
+    """
+    for _ in range(newton_passes(prec)):
+        e = u * x - one
+        if e.is_zero():
+            return x
+        x = x - x * e
+    raise ArithmeticError("Newton inverse did not converge: the start is not an inverse mod t")
 
 
 def _as_scalar(field: FieldDescriptor, v) -> Scalar:
@@ -362,8 +392,13 @@ def poly_simple_root(coeffs: Sequence[TruncSeries], z0: Scalar) -> TruncSeries:
     """Newton lift of a simple mod-t root z0 of a polynomial over K[[t]].
 
     coeffs lists p_0, ..., p_d.  Requires p(z0) = 0 mod t and p'(z0)
-    invertible mod t; the returned lambda satisfies p(lambda) = 0 mod t^prec
-    and lambda = z0 mod t (verified before returning).
+    invertible mod t.  Newton iteration lambda <- lambda - p(lambda) w,
+    where w ~ p'(lambda)^-1 is carried from step to step and refined by one
+    step of ``newton_inverse``'s iteration, w <- w - w (p'(lambda) w - 1),
+    instead of being inverted anew.  The loop returns as soon as the
+    residual p(lambda) vanishes mod t^prec, and raises ArithmeticError if
+    it has not after ceil(log2 prec) + 1 steps.  The correction stays in
+    the ideal, so lambda = z0 mod t.
     """
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -380,13 +415,16 @@ def poly_simple_root(coeffs: Sequence[TruncSeries], z0: Scalar) -> TruncSeries:
     if dp0.is_zero():
         raise RegularityError(f"{z0} is not a simple root mod t")
     deriv = [c.scale(Scalar.of(field, n)) for n, c in enumerate(coeffs) if n]
+    one = TruncSeries.one(field, prec)
     lam = TruncSeries.constant(field, z0, prec)
-    for _ in range(max(1, math.ceil(math.log2(prec))) + 1):
-        lam = lam - poly_eval(coeffs, lam) * poly_eval(deriv, lam).invert_unit()
-    residue = poly_eval(coeffs, lam)
-    if not residue.is_zero():
-        raise ArithmeticError("Newton iteration failed to converge (internal bug)")
-    return lam
+    w = TruncSeries.constant(field, dp0.inverse(), prec)
+    for _ in range(newton_passes(prec)):
+        residue = poly_eval(coeffs, lam)
+        if residue.is_zero():
+            return lam
+        w = w - w * (poly_eval(deriv, lam) * w - one)
+        lam = lam - residue * w
+    raise ArithmeticError("Newton iteration failed to converge (internal bug)")
 
 
 # ---------------------------------------------------------------------------
@@ -515,42 +553,38 @@ class BivarSeries:
     def __neg__(self) -> "BivarSeries":
         return BivarSeries(self.field, self.prec, self.den, [[-x for x in c] for c in self._c])
 
-    def _nonzero(self, comp_idx: int):
+    def _nonzero(self, prec: int) -> list:
+        """The nonzero terms (it, iy, v) of each component below total
+        degree prec, in order of total degree."""
         P = self.prec
-        comp = self._c[comp_idx]
         return [
-            (it, iy, comp[it * P + iy])
-            for it in range(P)
-            for iy in range(P - it)
-            if comp[it * P + iy]
+            [(it, d - it, comp[it * P + d - it])
+             for d in range(prec) for it in range(d + 1) if comp[it * P + d - it]]
+            for comp in self._c
         ]
 
     def __mul__(self, other: "BivarSeries") -> "BivarSeries":
+        """One real convolution per pair of nonempty components, each
+        factor's terms listed once, as in ``mul_into``."""
         prec = self._common(other)
-        a, b = self.truncate(prec), other.truncate(prec)
-        den = a.den * b.den
-
-        def conv(ca_idx, cb_idx, sign, target):
-            for it1, iy1, v1 in a._nonzero(ca_idx):
-                for it2, iy2, v2 in b._nonzero(cb_idx):
-                    it, iy = it1 + it2, iy1 + iy2
-                    if it + iy < prec:
-                        target[it * prec + iy] += sign * v1 * v2
-
-        size = prec * prec
-        if self.field.dim == 1:
-            out = [0] * size
-            conv(0, 0, 1, out)
-            comps = [out]
-        else:
-            re = [0] * size
-            im = [0] * size
-            conv(0, 0, 1, re)
-            conv(1, 1, -1, re)
-            conv(0, 1, 1, im)
-            conv(1, 0, 1, im)
-            comps = [re, im]
-        return BivarSeries(self.field, prec, den, comps)
+        xt, yt = self._nonzero(prec), other._nonzero(prec)
+        out = [[0] * (prec * prec) for _ in xt]
+        if len(out) == 1:
+            passes = ((0, 0, 1, 0),)
+        else:  # re += xr yr - xi yi, im += xr yi + xi yr
+            passes = ((0, 0, 1, 0), (1, 1, -1, 0), (0, 1, 1, 1), (1, 0, 1, 1))
+        for ix, iy, sign, io in passes:
+            xs, ys, target = xt[ix], yt[iy], out[io]
+            if not ys:
+                continue
+            for it1, iy1, v1 in xs:
+                lim = prec - it1 - iy1
+                v1 *= sign
+                for it2, iy2, v2 in ys:
+                    if it2 + iy2 >= lim:
+                        break
+                    target[(it1 + it2) * prec + iy1 + iy2] += v1 * v2
+        return BivarSeries(self.field, prec, self.den * other.den, out)
 
     def scale(self, s: Scalar) -> "BivarSeries":
         nums, sden = _coords_to_ints(_as_scalar(self.field, s).coords)
@@ -593,17 +627,6 @@ class BivarSeries:
         return all(not any(c[P:]) for c in self._c)
 
 
-def _bivar_invert_unit(w: BivarSeries) -> BivarSeries:
-    c0 = w.coeff(0, 0)
-    if c0.is_zero():
-        raise NonUnitError("bivariate inverse needs an invertible constant term")
-    x = BivarSeries.from_terms(w.field, {(0, 0): c0.inverse()}, w.prec)
-    two = BivarSeries.from_terms(w.field, {(0, 0): 2}, w.prec)
-    for _ in range(max(1, math.ceil(math.log2(w.prec)))):
-        x = x * (two - w * x)
-    return x
-
-
 def weierstrass_div(g: BivarSeries, f: BivarSeries) -> tuple[BivarSeries, BivarSeries]:
     """Divide g by a t-regular degree-1 element: g = q*f + r with r in K[[Y]].
 
@@ -621,9 +644,13 @@ def weierstrass_div(g: BivarSeries, f: BivarSeries) -> tuple[BivarSeries, BivarS
         raise RegularityError("divisor has a unit constant term: not t-regular of degree 1")
     rho = f.y_row()
     w = f.shift_down_t()
-    if w.coeff(0, 0).is_zero():
+    c0 = w.coeff(0, 0)
+    if c0.is_zero():
         raise RegularityError("divisor is not t-regular of degree 1 (t-coefficient not a unit)")
-    winv = _bivar_invert_unit(w)
+    winv = newton_inverse(
+        w, BivarSeries.from_terms(f.field, {(0, 0): c0.inverse()}, prec),
+        BivarSeries.from_terms(f.field, {(0, 0): 1}, prec), prec,
+    )
 
     q = BivarSeries.zero(f.field, prec)
     r = BivarSeries.zero(f.field, prec)

@@ -4,7 +4,9 @@
 keyed by (k, n, eps budget).  A point that has served many elements at
 several budgets must give the values a fresh point gives, a repeated
 valuation must make no product of eps-polynomials, and a valuation of
-value v at a warm point must expand no eps-degree above v.
+value v at a warm point must expand no eps-degree above v.  Over Q(i) with
+two to five centers and N up to 32, the closed-form image of z_k times its
+denominator D + d eps is lambda + eps within the eps budget.
 """
 
 import random
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchalg.analytic import (
+    AnalyticElement,
     Configuration,
     PrimePoint,
     _EpsPoly,
@@ -21,7 +24,9 @@ from patchalg.analytic import (
     random_element,
 )
 from patchalg.kummer import build_scenario
-from patchalg.scalars import cyclotomic_field
+from patchalg.scalars import Scalar, cyclotomic_field
+from patchalg.series import TruncSeries
+from test_rebase_props import QI, configurations
 
 CFG = Configuration(cyclotomic_field(4), [0, 1, 2], 8)
 SC = build_scenario(CFG, 2, 1, 3, 2, 2)
@@ -120,3 +125,55 @@ def test_valuation_stops_at_the_first_surviving_degree(monkeypatch):
         monkeypatch.undo()
         assert v == w
         assert max(degrees) == w
+
+
+@st.composite
+def points_over_qi(draw):
+    """(point, element of its ring with every z_k of the ring, budgets):
+    Q(i), N up to 32, lambda with three random Gaussian-integer
+    coefficients."""
+    cfg = draw(configurations(max_prec=32).filter(lambda c: c.field == QI))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    j = rng.choice(list(cfg.indices))
+    vals = [Scalar.of(QI, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+    lam = cfg.series(vals + [0] * (cfg.precision - 3))
+    support = [k for k in cfg.indices
+               if k == j or not (Scalar.one(QI) + (cfg.centers[j] - cfg.centers[k]) * vals[0]).is_zero()]
+    pt = PrimePoint(cfg, j, lam, ring_support=support)
+    zdeg = draw(st.integers(1, 2))
+    x = random_element(cfg, rng, chart=j, support=support, max_zdeg=zdeg, tdeg=4)
+    x = x + AnalyticElement(cfg, j, cfg.zero_series(), {(k, zdeg): cfg.one_series() for k in support})
+    return pt, x, (draw(st.integers(1, cfg.precision)), cfg.precision)
+
+
+@settings(max_examples=10, deadline=None)
+@given(points_over_qi())
+def test_closed_form_images_times_their_denominator(case):
+    pt, _x, budgets = case
+    cfg, prec = pt.cfg, pt.lam.prec
+    one = cfg.one_series(prec)
+    for budget in budgets:
+        want = [pt.lam, one] + [TruncSeries.zero(cfg.field, prec)] * (budget - 2)
+        for k in sorted(pt.ring_support):
+            img = pt._image(k, 1, budget)
+            if k == pt.chart:
+                assert img.coeffs == want[:min(2, budget)]
+                continue
+            assert len(img.coeffs) == budget
+            d = cfg.centers[pt.chart] - cfg.centers[k]
+            denom = _EpsPoly([one + pt.lam.scale(d), TruncSeries.constant(cfg.field, d, prec)], budget)
+            assert (img * denom).coeffs == want[:budget]
+
+
+@settings(max_examples=6, deadline=None)
+@given(points_over_qi())
+def test_cached_images_match_fresh_ones_up_to_n_32(case):
+    pt, x, budgets = case
+    fresh = PrimePoint(pt.cfg, pt.chart, pt.lam, pt.label, pt.ring_support)
+    for budget in budgets:
+        valuation(x, pt, budget)
+        valuation(x, pt, budget)
+    assert {k for k, _n, _b in pt._subst} == pt.ring_support
+    for (k, n, budget), img in pt._subst.items():
+        want = fresh._image(k, n, budget)
+        assert (img.budget, img.coeffs) == (want.budget, want.coeffs)
