@@ -1,13 +1,18 @@
 """Matrix factorization over the analytic rings.
 
-`cartan_factor` splits a matrix close to the identity into a product of a
-factor supported away from one index and a factor supported on it, by the
-classical contraction: split the deviation additively, peel unit factors on
-both sides, repeat on the conjugated residual.  Each round at least doubles
-the order of the residual, so the loop ends within the precision budget.
-The inverses of the peeled factors are Neumann series, summed one term at a
-time: the k-th term has order v + k v(m), so the product kernel's valuation
-skips drop more of each later product.
+`cartan_factor` splits a matrix a with v(a - 1) >= 1 into a product
+b1 * b2 of a factor supported away from one index i and a factor supported
+on it, by a t-adic lift.  Each t-coefficient of a - 1 is a z-polynomial,
+and the t^m coefficient of a = b1 * b2 determines those of b1 - 1 and
+b2 - 1 from the lower ones, split by support: f0 and z_k (k != i) go to
+b1, z_i to b2.  Every product the lift makes is a cross-index one, so the
+z-degree of the factors never exceeds that of a.  The factorization is
+unique, because 1 + z_i K[z_i][[t]] is a group that meets the t-series
+only in 1.  So these are exactly the factors of the classical contraction
+(split the deviation additively, peel unit factors on both sides, repeat
+on the conjugated residual).  The reported round count is that
+contraction's, read off its error recursion, which is evaluated lazily,
+one t-coefficient at a time and only as deep as each valuation needs.
 
 `gl_factor` reduces the general (localized, invertible) case to the Cartan
 step: clear t-denominators, normalize the adjugate by the unit part of the
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .analytic import (
@@ -33,7 +39,7 @@ from .analytic import (
     membership,
     unit_invert,
 )
-from .series import INF, NonUnitError
+from .series import INF, NonUnitError, TruncSeries
 
 __all__ = [
     "FactorizationError",
@@ -259,13 +265,221 @@ def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
     return all(membership(x.body, J) for row in mat.rows for x in row)
 
 
+# ---------------------------------------------------------------------------
+# the Cartan step, one t-coefficient at a time
+#
+# A coefficient matrix is a tuple of rows of precision-1 elements (z-polynomials
+# over K in partial-fraction form), or None for the zero matrix.
+# ---------------------------------------------------------------------------
+
+
+class _Stream:
+    """A matrix series in t whose coefficients are computed on demand, in
+    order, and kept.  The coefficient function may read the stream's own
+    lower coefficients."""
+
+    __slots__ = ("_coeff", "_memo")
+
+    def __init__(self, coeff):
+        self._coeff = coeff
+        self._memo = []
+
+    def __getitem__(self, d: int):
+        memo = self._memo
+        while len(memo) <= d:
+            memo.append(self._coeff(len(memo)))
+        return memo[d]
+
+
+def _coefficient(x: AnalyticElement, m: int) -> AnalyticElement:
+    """The t^m coefficient of x as a precision-1 element."""
+
+    def cut(s: TruncSeries) -> TruncSeries:
+        return TruncSeries(s.field, 1, s.den, [[c[m]] for c in s._c])
+
+    return AnalyticElement(x.cfg, x.chart, cut(x.f0), {kn: cut(s) for kn, s in x.zc.items()})
+
+
+def _matrix(rows):
+    rows = tuple(tuple(row) for row in rows)
+    return None if all(x.is_zero() for row in rows for x in row) else rows
+
+
+def _sub(x, y):
+    if y is None:
+        return x
+    if x is None:
+        return tuple(tuple(-b for b in row) for row in y)
+    return _matrix([[a - b for a, b in zip(r, s)] for r, s in zip(x, y)])
+
+
+def _valuation(s, limit: int) -> int:
+    """The index of the first nonzero coefficient of s below limit, else
+    limit; computes no coefficient past it."""
+    for d in range(limit):
+        if s[d] is not None:
+            return d
+    return limit
+
+
+def _products(left, right, d: int) -> list:
+    """The pairs (left[p], right[d - p]), both nonzero, whose sum is the t^d
+    coefficient of left * right when both vanish at t^0.  The valuations
+    bound p, so neither side is computed deeper than the product needs."""
+    p0 = _valuation(left, d)
+    if p0 >= d:
+        return []
+    q0 = _valuation(right, d - p0 + 1)
+    out = []
+    for p in range(p0, d - q0 + 1):
+        x = left[p]
+        if x is not None:
+            y = right[d - p]
+            if y is not None:
+                out.append((x, y))
+    return out
+
+
+def _combine(zero: AnalyticElement, base, products: list):
+    """base - sum of L * R over (L, R) in products, one ``ae_dot`` per
+    entry; base may be None (zero)."""
+    if not products:
+        return base
+    n = len(products[0][0])
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            pairs = [(L[r][k], R[k][c]) for L, R in products for k in range(n)
+                     if not (L[r][k].is_zero() or R[k][c].is_zero())]
+            x = zero if base is None else base[r][c]
+            if pairs:
+                x = x - ae_dot(pairs)
+            row.append(x)
+        rows.append(row)
+    return _matrix(rows)
+
+
+def _split(mat, i: int) -> tuple:
+    """(the part on f0 and z_k, k != i; the part on z_i) of a coefficient
+    matrix.  In the working chart this slot partition puts each part in its
+    side's subring: rebasing into a side's chart only ever adds that side's
+    own generator."""
+    if mat is None:
+        return None, None
+    cfg, chart = mat[0][0].cfg, mat[0][0].chart
+    zero = cfg.zero_series(1)
+    off = [[AnalyticElement(cfg, chart, x.f0, {kn: s for kn, s in x.zc.items() if kn[0] != i})
+            for x in row] for row in mat]
+    on = [[AnalyticElement(cfg, chart, zero, {kn: s for kn, s in x.zc.items() if kn[0] == i})
+           for x in row] for row in mat]
+    return _matrix(off), _matrix(on)
+
+
+def _lift(a: PatchMatrix, i: int, zero: AnalyticElement) -> tuple:
+    """The t-coefficients X_m, Y_m (m < N, X_0 = Y_0 = None) of b1 - 1 and
+    b2 - 1 for a = b1 * b2.
+
+    The t^m coefficient of that equation reads
+    X_m + Y_m = A_m - sum_{0<p<m} X_p Y_{m-p}, with A_m that of a - 1, and
+    the support split of the right side gives X_m and Y_m.  Each X_p Y_q
+    multiplies z_k (k != i) or 1 by z_i, so the z-degree never grows.
+    """
+    X, Y = [None], [None]
+    for m in range(1, a.precision):
+        A = _matrix([[_coefficient(x.body, m) for x in row] for row in a.rows])
+        x, y = _split(_combine(zero, A, _products(X, Y, m)), i)
+        X.append(x)
+        Y.append(y)
+    return X, Y
+
+
+def _next_errors(e1: _Stream, e2: _Stream, zero: AnalyticElement, i: int) -> tuple:
+    """One round of the contraction, on its errors against the lifted
+    factors.
+
+    After r rounds the contraction holds a1, a2 with a = a1 (1 + e1)(1 + e2) a2,
+    where 1 + e1 = a1^{-1} b1 and 1 + e2 = b2 a2^{-1}.  The round splits the
+    deviation e1 + e2 - Q, Q = -e1 e2, into m1 = e1 - [Q]_J and
+    m2 = e2 - [Q]_i and peels 1 + m1 and 1 + m2, which leaves
+    e1' = (1 + m1)^{-1} [Q]_J and e2' = [Q]_i (1 + m2)^{-1}.  Each is solved
+    one coefficient at a time from (1 + m1) e1' = [Q]_J and
+    e2' (1 + m2) = [Q]_i.
+    """
+    Q = _Stream(lambda d: _split(_combine(zero, None, _products(e1, e2, d)), i))
+    m1 = _Stream(lambda d: _sub(e1[d], Q[d][0]))
+    m2 = _Stream(lambda d: _sub(e2[d], Q[d][1]))
+    f1 = _Stream(lambda d: _combine(zero, Q[d][0], _products(m1, f1, d)))
+    f2 = _Stream(lambda d: _combine(zero, Q[d][1], _products(f2, m2, d)))
+    return f1, f2
+
+
+def _contraction_rounds(X: list, Y: list, zero: AnalyticElement, i: int, prec: int, cap: int) -> int:
+    """The number of rounds the classical contraction takes to reach the
+    lifted factors 1 + X, 1 + Y mod t^prec; more than cap raises.
+
+    The contraction splits the deviation additively, peels unit factors on
+    both sides and repeats.  Its deviation after r rounds has the order
+    min(v(e1), v(e2)) (see ``_next_errors``), because e1 and e2 lie on
+    complementary supports and e1 e2 has the higher order.  So the count
+    is the first r at which both errors vanish.  The errors are computed
+    lazily, each coefficient once and only as deep as a valuation asks.
+    """
+    e1, e2 = _Stream(X.__getitem__), _Stream(Y.__getitem__)
+    rounds = 0
+    while _valuation(e1, prec) < prec or _valuation(e2, prec) < prec:
+        rounds += 1
+        if rounds > cap:
+            raise ArithmeticError("Cartan iteration failed to contract (internal bug)")
+        e1, e2 = _next_errors(e1, e2, zero, i)
+    return rounds
+
+
+def _series(field, prec: int, coeffs: dict) -> TruncSeries:
+    """sum_m coeffs[m] t^m mod t^prec, from precision-1 series."""
+    den = 1
+    for s in coeffs.values():
+        den = den // gcd(den, s.den) * s.den
+    comps = [[0] * prec for _ in range(field.dim)]
+    for m, s in coeffs.items():
+        f = den // s.den
+        for comp, c in zip(comps, s._c):
+            comp[m] = c[0] * f
+    return TruncSeries(field, prec, den, comps)
+
+
+def _assemble(a: PatchMatrix, coeffs: list) -> PatchMatrix:
+    """1 + sum_m t^m coeffs[m] in a's chart and at a's precision."""
+    cfg, prec = a.cfg, a.precision
+    one = cfg.one_series(1)
+    rows = []
+    for r in range(a.n):
+        row = []
+        for c in range(a.n):
+            slots: dict = {None: {0: one}} if r == c else {}
+            for m, mat in enumerate(coeffs):
+                if mat is not None:
+                    x = mat[r][c]
+                    if not x.f0.is_zero():
+                        slots.setdefault(None, {})[m] = x.f0
+                    for kn, s in x.zc.items():
+                        slots.setdefault(kn, {})[m] = s
+            f0 = _series(cfg.field, prec, slots.pop(None, {}))
+            zc = {kn: _series(cfg.field, prec, ms) for kn, ms in slots.items()}
+            row.append(AnalyticElement(cfg, a.chart, f0, zc))
+        rows.append(row)
+    return PatchMatrix(rows, a.chart)
+
+
 def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> FactorizationResult:
-    """Split a = a1 * a2 with a1 supported away from index i and a2 on it.
+    """Split a = b1 * b2 with b1 supported away from index i and b2 on it.
 
     Requires entries in the unlocalized ring (no t-shifts) and
-    v(a - 1) >= 1.  The residual contracts at least geometrically, so the
-    loop is bounded by the precision; hitting the round cap means a bug and
-    raises rather than truncating silently.
+    v(a - 1) >= 1.  The factors come from the t-adic lift (``_lift``); the
+    round count is that of the classical contraction, read off its error
+    recursion (``_contraction_rounds``).  The count is bounded by the
+    precision; hitting the round cap means a bug and raises rather than
+    truncating silently.
     """
     cfg = a.cfg
     if i not in cfg.indices:
@@ -276,45 +490,15 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
     if not J:
         raise FactorizationError("need at least two centers to patch")
     prec = a.precision
-    dev = a.deviation()
-    if dev.min_valuation() < 1:
+    if a.deviation().min_valuation() < 1:
         raise FactorizationError("v(a - 1) >= 1 required")
 
-    chart = a.chart
-    a1 = a2 = PatchMatrix.identity(cfg, a.n, chart, prec)
-    rounds = 0
-    cap = max_rounds or (prec + 2)
-    while dev.min_valuation() < prec:
-        rounds += 1
-        if rounds > cap:
-            raise ArithmeticError("Cartan iteration failed to contract (internal bug)")
-        # slot partition in the working chart: rebasing into a side's chart
-        # only ever adds that side's own generator, so each part already
-        # lies in its target subring (the public split also moves charts,
-        # which the matrix loop does not need)
-        m1_rows, m2_rows = [], []
-        for row in dev.rows:
-            r1, r2 = [], []
-            for x in row:
-                body = x.body
-                zc1 = {kn: s for kn, s in body.zc.items() if kn[0] != i}
-                zc2 = {kn: s for kn, s in body.zc.items() if kn[0] == i}
-                r1.append(AnalyticElement(cfg, chart, body.f0, zc1))
-                r2.append(AnalyticElement(cfg, chart, cfg.zero_series(body.precision), zc2))
-            m1_rows.append(r1)
-            m2_rows.append(r2)
-        m1 = PatchMatrix(m1_rows, chart)
-        m2 = PatchMatrix(m2_rows, chart)
-        a1 = a1 + a1 * m1
-        a2 = a2 + m2 * a2
-        # (1 + dev) - (1+m1)(1+m2) = -m1 m2, so the conjugated residual has
-        # deviation -(1+m1)^{-1} m1 m2 (1+m2)^{-1}
-        #   = sum_{k,l} (-m1)^k (-m1 m2) (-m2)^l,
-        # of at least doubled order; the Neumann sums stay within the window
-        n1, n2 = -m1, -m2
-        dev = _neumann(_neumann(n1 * m2, n1, True), n2, False)
-    mem = (_entry_memberships(a1, J), _entry_memberships(a2, {i}))
-    return FactorizationResult(a1, a2, prec, mem, rounds)
+    zero = AnalyticElement.zero(cfg, a.chart, 1)
+    X, Y = _lift(a, i, zero)
+    rounds = _contraction_rounds(X, Y, zero, i, prec, max_rounds or (prec + 2))
+    b1, b2 = _assemble(a, X), _assemble(a, Y)
+    mem = (_entry_memberships(b1, J), _entry_memberships(b2, {i}))
+    return FactorizationResult(b1, b2, prec, mem, rounds)
 
 
 def _scalar_monomial(mat: PatchMatrix):
@@ -437,7 +621,6 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
 
 def _tdeg_cut(f: AnalyticElement, d: int) -> AnalyticElement:
     """Drop all t-degrees >= d while keeping the precision window."""
-    from .series import TruncSeries
 
     def cut(s: TruncSeries) -> TruncSeries:
         comps = [list(c[:d]) + [0] * (s.prec - d) if d < s.prec else list(c) for c in s._c]

@@ -8,6 +8,8 @@ one-line pass/fail summary (visible with pytest -s or in captured output).
 import random
 import time
 
+import pytest
+
 from patchalg import analytic
 from patchalg.analytic import (
     AnalyticElement,
@@ -167,17 +169,25 @@ def test_criterion_5_cartan():
     )
 
 
-def test_criterion_5_cartan_op_count(monkeypatch):
-    """Work gate beside criterion 5's wall budget: one fixed 3x3 Cartan
-    factorization at N=12 in four rounds and at most 62,000 series products
-    (58,164 with term-by-term Neumann sums, 77,684 with Horner folds)."""
+def _criterion_5_matrix() -> PatchMatrix:
+    """A fixed 3x3 matrix at N=12, dense over the centers 0/1/2, whose
+    factorization at index 2 takes four contraction rounds."""
     cfg = Configuration(QQ, [0, 1, 2], 12)
     one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
     rng = random.Random(34)
-    A = PatchMatrix(
+    return PatchMatrix(
         [[(one if r == c else zero)
           + random_element(cfg, rng, chart=0, max_zdeg=2, tdeg=3, support=[0, 1, 2]).shift_t(1)
           for c in range(3)] for r in range(3)], 0)
+
+
+def test_criterion_5_cartan_op_count(monkeypatch):
+    """Work gate beside criterion 5's wall budget: one fixed 3x3 Cartan
+    factorization at N=12 in four rounds and at most 10,000 series products
+    (8,816 with the t-adic lift: 8,442 for the factors and 374 for the round
+    count; 58,164 with the contraction by term-by-term Neumann sums, 77,684
+    with Horner folds)."""
+    A = _criterion_5_matrix()
     calls = 0
     add_product = _SeriesAcc.add_product
 
@@ -192,9 +202,18 @@ def test_criterion_5_cartan_op_count(monkeypatch):
     assert (res.b1 * res.b2).equals(A) and all(res.side_memberships)
     _report(
         "criterion 5 work gate: fixed 3x3 Cartan factorization at N=12",
-        res.rounds == 4 and calls <= 62_000,
-        f"{res.rounds} rounds, {calls} add_product calls of 62000",
+        res.rounds == 4 and calls <= 10_000,
+        f"{res.rounds} rounds, {calls} add_product calls of 10000",
     )
+
+
+def test_criterion_5_round_cap():
+    """The round cap raises instead of returning unfinished factors: the
+    criterion 5 matrix needs four rounds, so a cap of one fails."""
+    a = _criterion_5_matrix()
+    with pytest.raises(ArithmeticError, match="failed to contract"):
+        cartan_factor(a, 2, max_rounds=1)
+    assert cartan_factor(a, 2, max_rounds=4).rounds == 4
 
 
 def test_criterion_6_hensel():

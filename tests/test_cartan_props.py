@@ -1,6 +1,7 @@
-"""Laws of the Cartan contraction, over random configurations.
+"""Laws of the Cartan factorization (the t-adic lift of `cartan_factor`),
+over random configurations.
 
-Q and Q(i), two to four centers (integer or not), precision 4 to 10, and
+Q and Q(i), two to five centers (integer or not), precision 4 to 32, and
 2x2 or 3x3 matrices within distance 1 of the identity in any chart: the
 factors reassemble the input, each lies in its side's subring, and the
 factorization commutes with truncation of the precision window.
@@ -18,10 +19,10 @@ from test_rebase_props import QI, configurations
 
 
 @st.composite
-def near_identity(draw):
-    """(a, i): a matrix with v(a - 1) >= 1 and a center index to split at;
-    over Q(i) the entries have imaginary parts."""
-    cfg = draw(configurations(max_centers=4, max_prec=10))
+def near_identity(draw, max_prec=32):
+    """(a, i): a matrix with v(a - 1) >= 1 in any chart and a center index
+    to split at; over Q(i) the entries have imaginary parts."""
+    cfg = draw(configurations(max_centers=5, max_prec=max_prec))
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(2, 3))
     chart = draw(st.sampled_from(list(cfg.indices)))

@@ -136,6 +136,30 @@ def test_cartan_preconditions():
         cartan_factor(shifted, 2)
 
 
+def test_gl_one_sided_at_n32_with_five_centers():
+    """The size cliff of the nested Cartan step: B = B1 * B2 with B1
+    supported away from index 2 and B2 on it, as in the cartan suite's
+    gl-one-sided cases, at N = 32 over five centers."""
+    cfg = Configuration(QQ, [0, 1, 2, 3, 4], 32)
+    one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
+    rng = random.Random(5)
+    i = 2
+    J = [k for k in cfg.indices if k != i]
+
+    def side(support):
+        return PatchMatrix([[(one if r == c else zero)
+                             + random_element(cfg, rng, chart=0, support=support(),
+                                              max_zdeg=2, tdeg=3).shift_t(1)
+                             for c in range(2)] for r in range(2)], 0)
+
+    B = side(lambda: [k for k in J if rng.random() < 0.7]) * side(lambda: [i])
+    res = gl_factor(B, i)
+    assert (res.b1 * res.b2).equals(B)
+    assert all(res.side_memberships)
+    assert all(membership(x.body, J) for row in res.b1.rows for x in row)
+    assert all(membership(x.body, {i}) for row in res.b2.rows for x in row)
+
+
 def test_gl_t_monomial():
     tl = LocalizedElement(t_element(CFG, 0), 0)
     zl = LocalizedElement(ZERO, 0)
