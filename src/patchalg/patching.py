@@ -14,6 +14,14 @@ on the conjugated residual).  The reported round count is that
 contraction's, read off its error recursion, which is evaluated lazily,
 one t-coefficient at a time and only as deep as each valuation needs.
 
+The lift and the round count hold each t-coefficient in integer form, one
+denominator and a numerator per slot and coordinate, so a coefficient
+product is one integer multiply per pair of numerators.  Their kernel,
+``_dot``, routes those products as ``ae_dot`` routes series products and
+reduces each cross cell once by the configuration's cached
+partial-fraction coefficients; the factors' series are built once, at the
+end.
+
 `gl_factor` reduces the general (localized, invertible) case to the Cartan
 step: clear t-denominators, normalize the adjugate by the unit part of the
 determinant, cut the normalized adjugate at the determinant's t-order (the
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .analytic import (
@@ -39,6 +47,7 @@ from .analytic import (
     membership,
     unit_invert,
 )
+from .scalars import coord_mul
 from .series import INF, NonUnitError, TruncSeries
 
 __all__ = [
@@ -268,8 +277,11 @@ def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 # the Cartan step, one t-coefficient at a time
 #
-# A coefficient matrix is a tuple of rows of precision-1 elements (z-polynomials
-# over K in partial-fraction form), or None for the zero matrix.
+# A coefficient is a z-polynomial over K in integer form: a pair (den, comps)
+# of one denominator and, per coordinate (one over Q, re and im over Q(i)),
+# a map from slot (None for f0, (k, n) for z_k^n) to a nonzero numerator.
+# A coefficient matrix is a tuple of rows of coefficients.  None is zero,
+# both for a coefficient and for a coefficient matrix.
 # ---------------------------------------------------------------------------
 
 
@@ -291,26 +303,139 @@ class _Stream:
         return memo[d]
 
 
-def _coefficient(x: AnalyticElement, m: int) -> AnalyticElement:
-    """The t^m coefficient of x as a precision-1 element."""
+def _normal(den: int, comps) -> Optional[tuple]:
+    """The coefficient (den, comps) in lowest terms, without zero
+    numerators; None if nothing is left."""
+    comps = tuple({s: v for s, v in c.items() if v} for c in comps)
+    if not any(comps):
+        return None
+    g = den
+    for c in comps:
+        if g > 1:
+            g = gcd(g, *c.values())
+    if g > 1:
+        den //= g
+        comps = tuple({s: v // g for s, v in c.items()} for c in comps)
+    return den, comps
 
-    def cut(s: TruncSeries) -> TruncSeries:
-        return TruncSeries(s.field, 1, s.den, [[c[m]] for c in s._c])
 
-    return AnalyticElement(x.cfg, x.chart, cut(x.f0), {kn: cut(s) for kn, s in x.zc.items()})
+def _coefficient(x: AnalyticElement, m: int) -> Optional[tuple]:
+    """The t^m coefficient of x."""
+    series = [(None, x.f0), *x.zc.items()]
+    den = lcm(*(s.den for _slot, s in series))
+    comps = tuple({} for _ in x.f0._c)
+    for slot, s in series:
+        f = den // s.den
+        for comp, c in zip(comps, s._c):
+            if c[m]:
+                comp[slot] = c[m] * f
+    return _normal(den, comps)
 
 
 def _matrix(rows):
     rows = tuple(tuple(row) for row in rows)
-    return None if all(x.is_zero() for row in rows for x in row) else rows
+    return None if all(x is None for row in rows for x in row) else rows
+
+
+def _difference(x, y):
+    """x - y for coefficients."""
+    if y is None:
+        return x
+    if x is None:
+        return y[0], tuple({s: -v for s, v in c.items()} for c in y[1])
+    den = lcm(x[0], y[0])
+    fx, fy = den // x[0], den // y[0]
+    comps = []
+    for cx, cy in zip(x[1], y[1]):
+        c = {s: v * fx for s, v in cx.items()}
+        for s, v in cy.items():
+            c[s] = c.get(s, 0) - v * fy
+        comps.append(c)
+    return _normal(den, comps)
 
 
 def _sub(x, y):
     if y is None:
         return x
     if x is None:
-        return tuple(tuple(-b for b in row) for row in y)
-    return _matrix([[a - b for a, b in zip(r, s)] for r, s in zip(x, y)])
+        x = tuple((None,) * len(row) for row in y)
+    return _matrix([[_difference(a, b) for a, b in zip(r, s)] for r, s in zip(x, y)])
+
+
+def _conv(out: dict, cells: dict, xs: dict, ys: dict, scale: int) -> None:
+    """out += scale * x * y on one coordinate of each factor.
+
+    Each product of numerators goes where ``ae_dot`` sends its series: f0
+    times a slot to that slot, z_k^a z_k^b to (k, a + b), and a cross
+    product z_k^a z_l^b (k < l) to the cell (k, a, l, b) of ``cells``, which
+    ``_dot`` reduces once at the end.
+    """
+    get, cget = out.get, cells.get
+    for s1, u in xs.items():
+        u *= scale
+        if s1 is None:
+            for s2, v in ys.items():
+                out[s2] = get(s2, 0) + u * v
+            continue
+        k, a = s1
+        for s2, v in ys.items():
+            if s2 is None:
+                out[s1] = get(s1, 0) + u * v
+                continue
+            l, b = s2
+            if k == l:
+                key = (k, a + b)
+                out[key] = get(key, 0) + u * v
+            else:
+                key = (k, a, l, b) if k < l else (l, b, k, a)
+                cells[key] = cget(key, 0) + u * v
+
+
+def _dot(cfg: Configuration, base, pairs: list):
+    """base - sum of x * y over (x, y) in pairs, for coefficients; base may
+    be None (zero), the pairs' factors may not.
+
+    All products are summed over one common denominator, one real loop
+    (``_conv``) per pair of coordinates: over Q(i),
+    re -= xr yr - xi yi and im -= xr yi + xi yr.  Each cross cell is then
+    reduced once by its partial-fraction expansion,
+    ``Configuration.rewrite_ints``.
+    """
+    den = 1 if base is None else base[0]
+    for x, y in pairs:
+        den = lcm(den, x[0] * y[0])
+    if base is None:
+        acc = tuple({} for _ in pairs[0][0][1])
+    else:
+        f = den // base[0]
+        acc = tuple({s: v * f for s, v in c.items()} for c in base[1])
+    cells = tuple({} for _ in acc)
+    for (xden, xc), (yden, yc) in pairs:
+        f = den // (xden * yden)
+        if len(acc) == 1:
+            _conv(acc[0], cells[0], xc[0], yc[0], -f)
+        else:
+            (re, im), (cre, cim), (xr, xi), (yr, yi) = acc, cells, xc, yc
+            _conv(re, cre, xr, yr, -f)
+            _conv(im, cim, xr, yi, -f)
+            _conv(im, cim, xi, yr, -f)
+            _conv(re, cre, xi, yi, f)
+    keys = {key for c in cells for key in c}
+    if keys:
+        reduced = [([c.get(key, 0) for c in cells], cfg.rewrite_ints(*key)) for key in keys]
+        rden = lcm(*(d for _w, rw in reduced for _kn, _nums, d in rw))
+        if rden > 1:
+            den *= rden
+            for c in acc:
+                for s in c:
+                    c[s] *= rden
+        for w, rw in reduced:
+            for kn, nums, d in rw:
+                f = rden // d
+                for c, v in zip(acc, coord_mul(w, nums)):
+                    if v:
+                        c[kn] = c.get(kn, 0) + v * f
+    return _normal(den, acc)
 
 
 def _valuation(s, limit: int) -> int:
@@ -340,9 +465,9 @@ def _products(left, right, d: int) -> list:
     return out
 
 
-def _combine(zero: AnalyticElement, base, products: list):
-    """base - sum of L * R over (L, R) in products, one ``ae_dot`` per
-    entry; base may be None (zero)."""
+def _combine(cfg: Configuration, base, products: list):
+    """base - sum of L * R over the coefficient matrices (L, R) in
+    products, one ``_dot`` per entry; base may be None (zero)."""
     if not products:
         return base
     n = len(products[0][0])
@@ -351,11 +476,9 @@ def _combine(zero: AnalyticElement, base, products: list):
         row = []
         for c in range(n):
             pairs = [(L[r][k], R[k][c]) for L, R in products for k in range(n)
-                     if not (L[r][k].is_zero() or R[k][c].is_zero())]
-            x = zero if base is None else base[r][c]
-            if pairs:
-                x = x - ae_dot(pairs)
-            row.append(x)
+                     if L[r][k] is not None and R[k][c] is not None]
+            x = None if base is None else base[r][c]
+            row.append(_dot(cfg, x, pairs) if pairs else x)
         rows.append(row)
     return _matrix(rows)
 
@@ -367,18 +490,21 @@ def _split(mat, i: int) -> tuple:
     own generator."""
     if mat is None:
         return None, None
-    cfg, chart = mat[0][0].cfg, mat[0][0].chart
-    zero = cfg.zero_series(1)
-    off = [[AnalyticElement(cfg, chart, x.f0, {kn: s for kn, s in x.zc.items() if kn[0] != i})
-            for x in row] for row in mat]
-    on = [[AnalyticElement(cfg, chart, zero, {kn: s for kn, s in x.zc.items() if kn[0] == i})
-           for x in row] for row in mat]
-    return _matrix(off), _matrix(on)
+
+    def part(x, on: bool):
+        if x is None:
+            return None
+        comps = tuple({s: v for s, v in c.items() if (s is not None and s[0] == i) == on}
+                      for c in x[1])
+        return (x[0], comps) if any(comps) else None
+
+    return (_matrix([[part(x, False) for x in row] for row in mat]),
+            _matrix([[part(x, True) for x in row] for row in mat]))
 
 
-def _lift(a: PatchMatrix, i: int, zero: AnalyticElement) -> tuple:
+def _lift(a: PatchMatrix, i: int) -> tuple:
     """The t-coefficients X_m, Y_m (m < N, X_0 = Y_0 = None) of b1 - 1 and
-    b2 - 1 for a = b1 * b2.
+    b2 - 1 for a = b1 * b2, as integer z-polynomials.
 
     The t^m coefficient of that equation reads
     X_m + Y_m = A_m - sum_{0<p<m} X_p Y_{m-p}, with A_m that of a - 1, and
@@ -388,13 +514,13 @@ def _lift(a: PatchMatrix, i: int, zero: AnalyticElement) -> tuple:
     X, Y = [None], [None]
     for m in range(1, a.precision):
         A = _matrix([[_coefficient(x.body, m) for x in row] for row in a.rows])
-        x, y = _split(_combine(zero, A, _products(X, Y, m)), i)
+        x, y = _split(_combine(a.cfg, A, _products(X, Y, m)), i)
         X.append(x)
         Y.append(y)
     return X, Y
 
 
-def _next_errors(e1: _Stream, e2: _Stream, zero: AnalyticElement, i: int) -> tuple:
+def _next_errors(e1: _Stream, e2: _Stream, cfg: Configuration, i: int) -> tuple:
     """One round of the contraction, on its errors against the lifted
     factors.
 
@@ -406,15 +532,15 @@ def _next_errors(e1: _Stream, e2: _Stream, zero: AnalyticElement, i: int) -> tup
     one coefficient at a time from (1 + m1) e1' = [Q]_J and
     e2' (1 + m2) = [Q]_i.
     """
-    Q = _Stream(lambda d: _split(_combine(zero, None, _products(e1, e2, d)), i))
+    Q = _Stream(lambda d: _split(_combine(cfg, None, _products(e1, e2, d)), i))
     m1 = _Stream(lambda d: _sub(e1[d], Q[d][0]))
     m2 = _Stream(lambda d: _sub(e2[d], Q[d][1]))
-    f1 = _Stream(lambda d: _combine(zero, Q[d][0], _products(m1, f1, d)))
-    f2 = _Stream(lambda d: _combine(zero, Q[d][1], _products(f2, m2, d)))
+    f1 = _Stream(lambda d: _combine(cfg, Q[d][0], _products(m1, f1, d)))
+    f2 = _Stream(lambda d: _combine(cfg, Q[d][1], _products(f2, m2, d)))
     return f1, f2
 
 
-def _contraction_rounds(X: list, Y: list, zero: AnalyticElement, i: int, prec: int, cap: int) -> int:
+def _contraction_rounds(X: list, Y: list, cfg: Configuration, i: int, prec: int, cap: int) -> int:
     """The number of rounds the classical contraction takes to reach the
     lifted factors 1 + X, 1 + Y mod t^prec; more than cap raises.
 
@@ -431,41 +557,36 @@ def _contraction_rounds(X: list, Y: list, zero: AnalyticElement, i: int, prec: i
         rounds += 1
         if rounds > cap:
             raise ArithmeticError("Cartan iteration failed to contract (internal bug)")
-        e1, e2 = _next_errors(e1, e2, zero, i)
+        e1, e2 = _next_errors(e1, e2, cfg, i)
     return rounds
 
 
-def _series(field, prec: int, coeffs: dict) -> TruncSeries:
-    """sum_m coeffs[m] t^m mod t^prec, from precision-1 series."""
-    den = 1
-    for s in coeffs.values():
-        den = den // gcd(den, s.den) * s.den
-    comps = [[0] * prec for _ in range(field.dim)]
-    for m, s in coeffs.items():
-        f = den // s.den
-        for comp, c in zip(comps, s._c):
-            comp[m] = c[0] * f
-    return TruncSeries(field, prec, den, comps)
-
-
 def _assemble(a: PatchMatrix, coeffs: list) -> PatchMatrix:
-    """1 + sum_m t^m coeffs[m] in a's chart and at a's precision."""
+    """1 + sum_m t^m coeffs[m] in a's chart and at a's precision: each
+    entry's series are built once, over the lcm of its coefficients'
+    denominators."""
     cfg, prec = a.cfg, a.precision
-    one = cfg.one_series(1)
+    dim = cfg.field.dim
     rows = []
     for r in range(a.n):
         row = []
         for c in range(a.n):
-            slots: dict = {None: {0: one}} if r == c else {}
-            for m, mat in enumerate(coeffs):
-                if mat is not None:
-                    x = mat[r][c]
-                    if not x.f0.is_zero():
-                        slots.setdefault(None, {})[m] = x.f0
-                    for kn, s in x.zc.items():
-                        slots.setdefault(kn, {})[m] = s
-            f0 = _series(cfg.field, prec, slots.pop(None, {}))
-            zc = {kn: _series(cfg.field, prec, ms) for kn, ms in slots.items()}
+            terms = [(m, mat[r][c]) for m, mat in enumerate(coeffs)
+                     if mat is not None and mat[r][c] is not None]
+            den = lcm(1, *(x[0] for _m, x in terms))
+            slots = {None: [[0] * prec for _ in range(dim)]}
+            if r == c:
+                slots[None][0][0] = den
+            for m, (xden, comps) in terms:
+                f = den // xden
+                for d, comp in enumerate(comps):
+                    for slot, v in comp.items():
+                        s = slots.get(slot)
+                        if s is None:
+                            s = slots[slot] = [[0] * prec for _ in range(dim)]
+                        s[d][m] = v * f
+            f0 = TruncSeries(cfg.field, prec, den, slots.pop(None))
+            zc = {kn: TruncSeries(cfg.field, prec, den, s) for kn, s in slots.items()}
             row.append(AnalyticElement(cfg, a.chart, f0, zc))
         rows.append(row)
     return PatchMatrix(rows, a.chart)
@@ -493,9 +614,8 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
     if a.deviation().min_valuation() < 1:
         raise FactorizationError("v(a - 1) >= 1 required")
 
-    zero = AnalyticElement.zero(cfg, a.chart, 1)
-    X, Y = _lift(a, i, zero)
-    rounds = _contraction_rounds(X, Y, zero, i, prec, max_rounds or (prec + 2))
+    X, Y = _lift(a, i)
+    rounds = _contraction_rounds(X, Y, cfg, i, prec, max_rounds or (prec + 2))
     b1, b2 = _assemble(a, X), _assemble(a, Y)
     mem = (_entry_memberships(b1, J), _entry_memberships(b2, {i}))
     return FactorizationResult(b1, b2, prec, mem, rounds)

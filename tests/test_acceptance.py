@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from patchalg import analytic
+from patchalg import analytic, patching
 from patchalg.analytic import (
     AnalyticElement,
     Configuration,
@@ -183,27 +183,51 @@ def _criterion_5_matrix() -> PatchMatrix:
 
 def test_criterion_5_cartan_op_count(monkeypatch):
     """Work gate beside criterion 5's wall budget: one fixed 3x3 Cartan
-    factorization at N=12 in four rounds and at most 10,000 series products
-    (8,816 with the t-adic lift: 8,442 for the factors and 374 for the round
-    count; 58,164 with the contraction by term-by-term Neumann sums, 77,684
-    with Horner folds)."""
+    factorization at N=12 in four rounds, with no series product and no
+    ``ae_dot`` call, and at most 12,000 coordinate products in the integer
+    z-polynomial kernel ``patching._dot``: the numerator products of its
+    convolution (8,816) plus its reductions of cross cells by a
+    partial-fraction coefficient (1,929), 10,745 in all.  History of the
+    gate: 77,684 series products (``add_product`` calls) with Horner
+    folds, 58,164 with the contraction by term-by-term Neumann sums, 8,816
+    with the t-adic lift on precision-1 series, and none since the lift
+    holds its coefficients as integers."""
     A = _criterion_5_matrix()
-    calls = 0
-    add_product = _SeriesAcc.add_product
+    counts = {"add_product": 0, "ae_dot": 0, "products": 0, "reductions": 0}
+    add_product, dot, coord_mul = _SeriesAcc.add_product, patching._dot, patching.coord_mul
+    ae_dot = patching.ae_dot
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+    def counted_add_product(*args, **kwargs):
+        counts["add_product"] += 1
         return add_product(*args, **kwargs)
 
-    monkeypatch.setattr(_SeriesAcc, "add_product", counted)
+    def counted_ae_dot(pairs):
+        counts["ae_dot"] += 1
+        return ae_dot(pairs)
+
+    def counted_dot(cfg, base, pairs):
+        counts["products"] += sum(len(cx) * len(cy) for x, y in pairs for cx in x[1] for cy in y[1])
+        return dot(cfg, base, pairs)
+
+    def counted_coord_mul(x, y):
+        counts["reductions"] += 1
+        return coord_mul(x, y)
+
+    monkeypatch.setattr(_SeriesAcc, "add_product", counted_add_product)
+    monkeypatch.setattr(patching, "ae_dot", counted_ae_dot)
+    monkeypatch.setattr(patching, "_dot", counted_dot)
+    monkeypatch.setattr(patching, "coord_mul", counted_coord_mul)
     res = cartan_factor(A, 2)
     monkeypatch.undo()
     assert (res.b1 * res.b2).equals(A) and all(res.side_memberships)
+    total = counts["products"] + counts["reductions"]
     _report(
         "criterion 5 work gate: fixed 3x3 Cartan factorization at N=12",
-        res.rounds == 4 and calls <= 10_000,
-        f"{res.rounds} rounds, {calls} add_product calls of 10000",
+        res.rounds == 4 and counts["add_product"] == counts["ae_dot"] == 0
+        and counts["reductions"] > 0 and total <= 12_000,
+        f"{res.rounds} rounds, {total} coordinate products of 12000 "
+        f"({counts['products']} products, {counts['reductions']} reductions), "
+        f"{counts['add_product']} add_product and {counts['ae_dot']} ae_dot calls",
     )
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchalg.analytic import (
     AnalyticElement,
@@ -13,6 +15,8 @@ from patchalg.analytic import (
     t_element,
     z_generator,
 )
+from patchalg.scalars import Scalar
+from test_rebase_props import QI, configurations
 
 CFG = default_configuration()
 
@@ -69,6 +73,35 @@ def test_split_properties_random():
             assert f2.is_zero()
         vf = f.valuation()
         assert f1.valuation() >= vf and f2.valuation() >= vf, f"case {case}: valuation"
+
+
+@st.composite
+def split_inputs(draw):
+    """(f, J, J'): f over Q or Q(i) with 2-5 centers and N <= 32, in any
+    chart, supported in the nonempty union of two random index sets."""
+    cfg = draw(configurations(max_centers=5, max_prec=32))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    J = frozenset(k for k in cfg.indices if rng.random() < 0.5)
+    Jp = frozenset(k for k in cfg.indices if rng.random() < 0.5) or frozenset([0])
+    union = sorted(J | Jp)
+    support = [k for k in union if rng.random() < 0.7]
+    chart = rng.choice(union)
+    zdeg = rng.randint(1, 4)
+    f = random_element(cfg, rng, chart=chart, support=support, max_zdeg=zdeg)
+    if cfg.field == QI:
+        g = random_element(cfg, rng, chart=chart, support=support, max_zdeg=zdeg)
+        f = f + g.scale(Scalar.of(QI, 0, 1))
+    return f.shift_t(rng.randint(0, 3)), J, Jp
+
+
+@settings(max_examples=40)
+@given(split_inputs(), st.data())
+def test_split_commutes_with_truncation(fj, data):
+    f, J, Jp = fj
+    m = data.draw(st.integers(1, f.precision))
+    f1, f2 = split(f, J, Jp)
+    g1, g2 = split(f.truncate(m), J, Jp)
+    assert g1 == f1.truncate(m) and g2 == f2.truncate(m)
 
 
 def test_split_positive_valuation_preserved():
