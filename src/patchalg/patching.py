@@ -24,11 +24,12 @@ end.
 
 `gl_factor` reduces the general (localized, invertible) case to the Cartan
 step: clear t-denominators, normalize the adjugate by the unit part of the
-determinant, cut the normalized adjugate at the determinant's t-order (the
+determinant, cut the normalized adjugate at the determinant's t-order e (the
 cut is itself an exact member of the dense polynomial subring, so no
-approximation search is needed), and reassemble with the central scalar
-corrections.  Determinants whose unit part the recognizer does not know are
-rejected with a "restricted pipeline" diagnostic rather than guessed at.
+approximation search is needed, and it is computed mod t^(e+1) alone), and
+reassemble with the central scalar corrections.  Determinants whose unit
+part the recognizer does not know are rejected with a "restricted
+pipeline" diagnostic rather than guessed at.
 """
 
 from __future__ import annotations
@@ -645,12 +646,42 @@ def _scalar_monomial(mat: PatchMatrix):
     return v, unit
 
 
+def _density_step(adj: PatchMatrix, u_body: AnalyticElement, e: int) -> PatchMatrix:
+    """The cut a0 of u^-1 adj at t-degree e, for the unit part u of det.
+
+    Only t-degrees <= e survive the cut, and a t-adic inverse or product
+    mod t^(e+1) reads its inputs only mod t^(e+1), so u is inverted and
+    each entry multiplied at precision e + 1.  The exact result is
+    zero-extended to the window the full product would have,
+    min(u, entry precision).  Raises UnitNotRecognized as ``unit_invert``
+    does; its recognizer reads only the t^0 layer.
+    """
+    q = e + 1
+    u_inv = unit_invert(u_body.truncate(q))
+
+    def entry(x: LocalizedElement) -> LocalizedElement:
+        f = u_inv * x.body.truncate(q)
+        prec = min(u_body.precision, x.body.precision)
+
+        def widen(s: TruncSeries) -> TruncSeries:
+            return TruncSeries(s.field, prec, s.den, [c + (0,) * (prec - s.prec) for c in s._c])
+
+        zc = {kn: widen(s) for kn, s in f.zc.items()}
+        return LocalizedElement(AnalyticElement(f.cfg, f.chart, widen(f.f0), zc), 0)
+
+    return PatchMatrix([[entry(x) for x in row] for row in adj.rows], adj.chart)
+
+
 def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
     """Factor an invertible localized matrix through the Cartan step.
 
     The determinant must come out as t^e * (recognized unit); otherwise the
     restricted pipeline refuses (multi-chart Weierstrass clearing beyond the
-    recognized unit classes is not implemented).
+    recognized unit classes is not implemented).  The density step, the cut
+    a0 of u^-1 adj at t-degree e, runs mod t^(e+1) and is zero-extended to
+    each entry's window (``_density_step``); the determinant, the adjugate
+    and the inverse of a0's determinant unit, which fix e, those windows
+    and W, stay at full precision.
     """
     cfg = b.cfg
     chart = b.chart
@@ -672,23 +703,12 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
     e = dv - d.tshift
     u_body = d.body.shift_t(-e)
     try:
-        u_inv = unit_invert(u_body)
+        a0 = _density_step(b_hat.adjugate(), u_body, e)
     except UnitNotRecognized as exc:
         raise FactorizationError(
             "restricted pipeline: the unit part of det(b) is outside the recognized "
             f"classes ({exc}); the general clearing step is not implemented"
         ) from exc
-
-    adj = b_hat.adjugate()
-    b_prime = PatchMatrix(
-        [[LocalizedElement(u_inv * x.body, x.tshift) for x in row] for row in adj.rows],
-        chart,
-    )
-    # density step at finite precision: cut at the determinant's t-order
-    a0 = PatchMatrix(
-        [[LocalizedElement(_tdeg_cut(x.body, e + 1), 0) for x in row] for row in b_prime.rows],
-        chart,
-    )
     prod = b_hat * a0
     try:
         ba = PatchMatrix(
@@ -737,13 +757,3 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
     res_prec = min(b1.precision, b2.precision)
     notes = {"cleared_shift": e0, "det_order": e, "cut_det_order": e_p, "rounds": cart.rounds}
     return FactorizationResult(b1, b2, res_prec, mem, cart.rounds, notes)
-
-
-def _tdeg_cut(f: AnalyticElement, d: int) -> AnalyticElement:
-    """Drop all t-degrees >= d while keeping the precision window."""
-
-    def cut(s: TruncSeries) -> TruncSeries:
-        comps = [list(c[:d]) + [0] * (s.prec - d) if d < s.prec else list(c) for c in s._c]
-        return TruncSeries(s.field, s.prec, s.den, comps)
-
-    return AnalyticElement(f.cfg, f.chart, cut(f.f0), {kn: cut(s) for kn, s in f.zc.items()})

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,13 +7,16 @@ from patchalg.analytic import (
     AnalyticElement,
     Configuration,
     LocalizedElement,
+    _SeriesAcc,
     membership,
     random_element,
     t_element,
     z_generator,
 )
 from patchalg.patching import FactorizationError, PatchMatrix, cartan_factor, gl_factor
-from patchalg.scalars import QQ
+from patchalg.scalars import QQ, Scalar, cyclotomic_field
+
+QI = cyclotomic_field(4)
 
 CFG = Configuration(QQ, [0, 1, 2], 12)
 ONE = AnalyticElement.one(CFG, 0)
@@ -136,28 +140,81 @@ def test_cartan_preconditions():
         cartan_factor(shifted, 2)
 
 
-def test_gl_one_sided_at_n32_with_five_centers():
-    """The size cliff of the nested Cartan step: B = B1 * B2 with B1
-    supported away from index 2 and B2 on it, as in the cartan suite's
-    gl-one-sided cases, at N = 32 over five centers."""
-    cfg = Configuration(QQ, [0, 1, 2, 3, 4], 32)
+def _one_sided_factors(cfg, n, i, rng, max_zdeg=2):
+    """(B1, B2), n x n with B1 - 1 supported away from index i and B2 - 1
+    on it, both of t-order >= 1, as in the cartan suite's gl-one-sided
+    cases."""
     one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
-    rng = random.Random(5)
-    i = 2
     J = [k for k in cfg.indices if k != i]
 
     def side(support):
         return PatchMatrix([[(one if r == c else zero)
                              + random_element(cfg, rng, chart=0, support=support(),
-                                              max_zdeg=2, tdeg=3).shift_t(1)
-                             for c in range(2)] for r in range(2)], 0)
+                                              max_zdeg=max_zdeg, tdeg=3).shift_t(1)
+                             for c in range(n)] for r in range(n)], 0)
 
-    B = side(lambda: [k for k in J if rng.random() < 0.7]) * side(lambda: [i])
+    return side(lambda: [k for k in J if rng.random() < 0.7]), side(lambda: [i])
+
+
+def test_gl_one_sided_at_n32_with_five_centers(monkeypatch):
+    """The size cliff of the nested Cartan step at N = 32 over five centers,
+    with a work gate on the series products ``gl_factor`` makes
+    (``_SeriesAcc.add_product`` calls): 53,665 while the density step
+    inverted the determinant's unit and multiplied the adjugate at full
+    precision, 178 since it runs mod t^(e+1).  The gate is <= 1,000."""
+    cfg = Configuration(QQ, [0, 1, 2, 3, 4], 32)
+    i = 2
+    J = [k for k in cfg.indices if k != i]
+    B1, B2 = _one_sided_factors(cfg, 2, i, random.Random(5))
+    B = B1 * B2
+    calls = []
+    add_product = _SeriesAcc.add_product
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return add_product(*args, **kwargs)
+
+    monkeypatch.setattr(_SeriesAcc, "add_product", counted)
     res = gl_factor(B, i)
+    monkeypatch.undo()
+    assert len(calls) <= 1_000, f"{len(calls)} add_product calls in gl_factor"
     assert (res.b1 * res.b2).equals(B)
     assert all(res.side_memberships)
     assert all(membership(x.body, J) for row in res.b1.rows for x in row)
     assert all(membership(x.body, {i}) for row in res.b2.rows for x in row)
+
+
+def test_gl_3x3_at_n48_with_five_centers():
+    """A 3 x 3 one-sided product at N = 48 over five centers: 20.9 s while
+    the density step ran at full precision, about 0.2 s since."""
+    cfg = Configuration(QQ, [0, 1, 2, 3, 4], 48)
+    i = 2
+    J = [k for k in cfg.indices if k != i]
+    B1, B2 = _one_sided_factors(cfg, 3, i, random.Random(5))
+    B = B1 * B2
+    res = gl_factor(B, i)
+    assert (res.b1 * res.b2).equals(B)
+    assert res.rounds == 6
+    assert all(res.side_memberships)
+    assert all(membership(x.body, J) for row in res.b1.rows for x in row)
+    assert all(membership(x.body, {i}) for row in res.b2.rows for x in row)
+
+
+def test_gl_det_order_one_over_qi_at_n32():
+    """B1 * diag(t, 1) * B2 over Q(i) with five centers at N = 32: the
+    determinant has t-order 1, so the density step keeps t-degrees <= 1.
+    The input is outside the one-sided class, so only reassembly and the
+    notes are asserted, not the side memberships; z-degree 1 keeps its
+    full-precision second inversion and membership tests small."""
+    cfg = Configuration(QI, [Scalar.of(QI, a, b) for a, b in
+                             [(0, 0), (1, 0), (0, 1), (2, -1), (Fraction(1, 2), 1)]], 32)
+    one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
+    i = 2
+    B1, B2 = _one_sided_factors(cfg, 2, i, random.Random(7), max_zdeg=1)
+    B = B1 * PatchMatrix([[t_element(cfg, 0), zero], [zero, one]], 0) * B2
+    res = gl_factor(B, i)
+    assert (res.b1 * res.b2).equals(B)
+    assert res.notes == {"cleared_shift": 0, "det_order": 1, "cut_det_order": 1, "rounds": 1}
 
 
 def test_gl_t_monomial():

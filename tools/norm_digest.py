@@ -23,13 +23,18 @@ stream and the SHA-256 of the result's exact data:
   benchmark's ``OracleCache``) and of their ``OracleSeries`` product;
 * ``cartan``, cartan factor and gl requests: every entry (t-shift and
   exact series) of the factors b1 and b2 of ``cartan_factor`` or
-  ``gl_factor``, and the round count.
+  ``gl_factor``, and the round count; for a gl request also the result's
+  notes (cleared shift, ``det_order``, ``cut_det_order``) and its
+  residual precision.
 
 Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``hensel_root``,
 ``prime_point_valuation``, ``oracle_of_element``, ``OracleSeries``,
 ``cartan_factor`` or ``gl_factor`` (or the series product under them) is
-checked by running this script in both and comparing the outputs.
+checked by running this script in both and comparing the outputs.  The
+script is part of the checkout, so when it changes, copy the newer version
+into the other checkout before comparing: two versions digest different
+data and never agree.
 """
 
 from __future__ import annotations
@@ -92,10 +97,11 @@ def cartan_data(ctx, kind, inp) -> list:
     if kind.name == "factor":
         a, i = inp
         res = cartan_factor(a, i)
-    else:
-        b1, b2, i = inp
-        res = gl_factor(b1 * b2, i)
-    return [matrix_data(res.b1), matrix_data(res.b2), res.rounds]
+        return [matrix_data(res.b1), matrix_data(res.b2), res.rounds]
+    b1, b2, i = inp
+    res = gl_factor(b1 * b2, i)
+    return [matrix_data(res.b1), matrix_data(res.b2), res.rounds,
+            sorted(res.notes.items()), res.residual_precision]
 
 
 # --kind -> (workload, request kinds digested, result data of one request)
