@@ -39,17 +39,12 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
-from .scalars import FieldDescriptor, FieldError, Scalar, coord_mul
+from .intvec import (
+    add_scaled_into, add_weighted_into, content, coord_mul, mul_into, scalar_ints, terms,
+)
+from .scalars import FieldDescriptor, FieldError, Scalar
 from .series import (
-    INF,
-    NonUnitError,
-    RegularityError,
-    TruncSeries,
-    _coords_to_ints,
-    mul_into,
-    newton_inverse,
-    poly_simple_root,
-    terms,
+    INF, NonUnitError, RegularityError, TruncSeries, newton_inverse, poly_simple_root,
 )
 
 __all__ = [
@@ -198,7 +193,7 @@ class Configuration:
         hit = self._rwi_cache.get(key)
         if hit is None:
             hit = tuple(
-                (kn, *_coords_to_ints(c.coords)) for kn, c in self.rewrite(i, a, j, b).items()
+                (kn, *scalar_ints(c.coords)) for kn, c in self.rewrite(i, a, j, b).items()
             )
             self._rwi_cache[key] = hit
         return hit
@@ -251,12 +246,12 @@ class _TransferTable:
 
     def __init__(self, cfg: Configuration, j: int, j2: int, k: Optional[int], n: int):
         self.j2, self.k, self.n = j2, k, n
-        self.dn, self.dd = _coords_to_ints((cfg.centers[j2] - cfg.centers[j]).coords)
+        self.dn, self.dd = scalar_ints((cfg.centers[j2] - cfg.centers[j]).coords)
         if k is None or k == j2:
             self.bn, self.bd_pow = None, [1]
         else:
             beta = (cfg.centers[j2] - cfg.centers[k]).inverse()
-            self.bn, bd = _coords_to_ints(beta.coords)
+            self.bn, bd = scalar_ints(beta.coords)
             self.bd_pow = [bd ** e for e in range(n + 1)]
         self.den = 1
         self.col = {None if k is None else (k, n): [1] + [0] * (cfg.field.dim - 1)}
@@ -290,10 +285,8 @@ class _TransferTable:
             dv = coord_mul(self.dn, v)
             old = new.get(slot)
             new[slot] = dv if old is None else [x + y for x, y in zip(old, dv)]
-        g = den = self.den * f
-        for v in new.values():
-            for x in v:
-                g = gcd(g, x)
+        den = self.den * f
+        g = content(den, new.values())
         self.den = den // g
         self.col = {slot: [x // g for x in v] for slot, v in new.items() if any(v)}
 
@@ -339,7 +332,7 @@ class _SeriesAcc:
 
     It keeps the layout of ``TruncSeries`` (``den``, ``_c``, ``prec``), so
     one accumulator can be added into another like a series, and products
-    are convolved into it by ``series.mul_into``.  Its denominator may grow
+    are convolved into it by ``intvec.mul_into``.  Its denominator may grow
     past the lowest one mid-sum; ``result`` normalizes.
     """
 
@@ -369,7 +362,7 @@ class _SeriesAcc:
                     xt: Optional[tuple] = None, yt: Optional[tuple] = None) -> None:
         """self += x*y mod t^prec; both factors must be at least as precise.
 
-        xt and yt are the factors' ``series.terms`` (the nonzero terms of
+        xt and yt are the factors' ``intvec.terms`` (the nonzero terms of
         each component, listed separately), for a caller that multiplies
         one series by many and lists its terms once.
         """
@@ -384,50 +377,18 @@ class _SeriesAcc:
         )
 
     def add_scaled(self, ts: TruncSeries, s: Scalar) -> None:
-        nums, sden = _coords_to_ints(s.coords)
+        nums, sden = scalar_ints(s.coords)
         self.add_ints(ts, nums, sden)
 
     def add_ints(self, ts, nums, sden: int) -> None:
         """self += ts * nums/sden for a TruncSeries or _SeriesAcc ts."""
         f = self._merge_den(ts.den * sden)
-        lim = min(self.prec, ts.prec)
-        if self.field.dim == 1:
-            a = nums[0] * f
-            comp, src = self._c[0], ts._c[0]
-            for n in range(lim):
-                x = src[n]
-                if x:
-                    comp[n] += a * x
-        else:
-            a, b = nums[0] * f, nums[1] * f
-            re_t, im_t = self._c
-            re_s, im_s = ts._c
-            for n in range(lim):
-                x, y = re_s[n], im_s[n]
-                if x or y:
-                    re_t[n] += a * x - b * y
-                    im_t[n] += a * y + b * x
+        add_scaled_into(self._c, ts._c, nums, min(self.prec, ts.prec), f)
 
     def add_weighted(self, ts: TruncSeries, lo: int, nums, den: int) -> None:
         """self += ts times the weights nums/den coefficientwise in t, from t^lo on."""
         f = self._merge_den(ts.den * den)
-        lim = min(self.prec, ts.prec, len(nums[0]))
-        if self.field.dim == 1:
-            comp, src, w = self._c[0], ts._c[0], nums[0]
-            for m in range(lo, lim):
-                x = src[m]
-                if x:
-                    comp[m] += f * x * w[m]
-        else:
-            re_t, im_t = self._c
-            re_s, im_s = ts._c
-            re_w, im_w = nums
-            for m in range(lo, lim):
-                x, y = re_s[m], im_s[m]
-                if x or y:
-                    a, b = f * re_w[m], f * im_w[m]
-                    re_t[m] += a * x - b * y
-                    im_t[m] += a * y + b * x
+        add_weighted_into(self._c, ts._c, nums, range(lo, min(self.prec, ts.prec, len(nums[0]))), f)
 
     def is_zero(self) -> bool:
         return all(not any(c) for c in self._c)
@@ -590,7 +551,7 @@ class AnalyticElement:
         s = self.cfg.scalar(s)
         if s.field != self.cfg.field:
             raise FieldError("scalar over a different field")
-        nums, sden = _coords_to_ints(s.coords)
+        nums, sden = scalar_ints(s.coords)
         return AnalyticElement(
             self.cfg, self.chart, self.f0.scale_ints(nums, sden),
             {kn: c.scale_ints(nums, sden) for kn, c in self.zc.items()},
@@ -705,7 +666,7 @@ def ae_dot(pairs) -> AnalyticElement:
     The workhorse behind element and matrix products: every series product
     is convolved straight into a shared accumulator (``add_product``), so no
     product is built as a series of its own and nothing is re-canonicalized
-    between summands.  Each factor's ``series.terms`` (per component) are
+    between summands.  Each factor's ``intvec.terms`` (per component) are
     listed once per call, however many products the factor enters.  A
     product on f0 or on a single index goes to its slot.  A cross product
     z_i^a z_j^b (i < j) goes to cell (a, b) of a grid kept per index pair,

@@ -51,8 +51,9 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional
 
-from .scalars import FieldDescriptor, Scalar, coord_mul
-from .series import TruncSeries, _coords_to_ints
+from .intvec import content, coord_mul, scalar_ints, to_ints
+from .scalars import FieldDescriptor, Scalar
+from .series import TruncSeries
 
 __all__ = [
     "OracleError",
@@ -227,13 +228,7 @@ class OracleSeries:
         self.field = field
         self.zdepth = zdepth
         self.tprec = tprec
-        g = den
-        for v in data.values():
-            for x in v:
-                if x:
-                    g = gcd(g, x)
-            if g == 1:
-                break
+        g = content(den, data.values())
         if g > 1:
             data = {k: tuple(x // g for x in v) for k, v in data.items()}
             den //= g
@@ -248,18 +243,14 @@ class OracleSeries:
 
     @staticmethod
     def from_scalar_terms(field, zdepth, tprec, terms: dict) -> "OracleSeries":
-        den = 1
-        scal = {k: v if isinstance(v, Scalar) else Scalar.of(field, v) for k, v in terms.items()}
-        for s in scal.values():
-            for c in s.coords:
-                den = den * c.denominator // gcd(den, c.denominator)
+        scal = [v if isinstance(v, Scalar) else Scalar.of(field, v) for v in terms.values()]
+        nums, den = to_ints(s.coords for s in scal)
         data = {}
-        for (m, n), s in scal.items():
+        for (m, n), v in zip(terms, nums):
             if m < 0:
                 raise ValueError("negative z-exponents cannot appear")
-            if m >= zdepth or n >= tprec:
-                continue
-            data[(m, n)] = tuple(int(c * den) for c in s.coords)
+            if m < zdepth and n < tprec:
+                data[(m, n)] = v
         return OracleSeries(field, zdepth, tprec, den, data)
 
     # -- views ----------------------------------------------------------------
@@ -457,7 +448,7 @@ def oracle_expand(expr: Expr, cfg, chart: int, zdepth: int,
 
 def _int_powers(delta: Scalar, count: int) -> tuple:
     """(q, [x^0, ..., x^(count-1)]) for delta = x/q, x integer coordinates."""
-    x, q = _coords_to_ints(delta.coords)
+    x, q = scalar_ints(delta.coords)
     pw = [(1,) + (0,) * (len(x) - 1)]
     for _ in range(count - 1):
         pw.append(coord_mul(pw[-1], x))

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .analytic import (
@@ -48,7 +48,7 @@ from .analytic import (
     membership,
     unit_invert,
 )
-from .scalars import coord_mul
+from .intvec import apply_rule, content, coord_mul
 from .series import INF, NonUnitError, TruncSeries
 
 __all__ = [
@@ -310,10 +310,7 @@ def _normal(den: int, comps) -> Optional[tuple]:
     comps = tuple({s: v for s, v in c.items() if v} for c in comps)
     if not any(comps):
         return None
-    g = den
-    for c in comps:
-        if g > 1:
-            g = gcd(g, *c.values())
+    g = content(den, [c.values() for c in comps])
     if g > 1:
         den //= g
         comps = tuple({s: v // g for s, v in c.items()} for c in comps)
@@ -363,15 +360,17 @@ def _sub(x, y):
     return _matrix([[_difference(a, b) for a, b in zip(r, s)] for r, s in zip(x, y)])
 
 
-def _conv(out: dict, cells: dict, xs: dict, ys: dict, scale: int) -> None:
-    """out += scale * x * y on one coordinate of each factor.
+def _conv(out: tuple, xs: tuple, ys: tuple, _arg, scale: int) -> None:
+    """out += scale * x * y on one coordinate of each factor, a real kernel
+    for ``intvec.apply_rule`` (it takes no argument of its own).
 
     Each product of numerators goes where ``ae_dot`` sends its series: f0
     times a slot to that slot, z_k^a z_k^b to (k, a + b), and a cross
-    product z_k^a z_l^b (k < l) to the cell (k, a, l, b) of ``cells``, which
-    ``_dot`` reduces once at the end.
+    product z_k^a z_l^b (k < l) to the cell (k, a, l, b), a key of four
+    entries, which ``_dot`` reduces once at the end.
     """
-    get, cget = out.get, cells.get
+    (out,), (xs,), (ys,) = out, xs, ys
+    get = out.get
     for s1, u in xs.items():
         u *= scale
         if s1 is None:
@@ -384,22 +383,17 @@ def _conv(out: dict, cells: dict, xs: dict, ys: dict, scale: int) -> None:
                 out[s1] = get(s1, 0) + u * v
                 continue
             l, b = s2
-            if k == l:
-                key = (k, a + b)
-                out[key] = get(key, 0) + u * v
-            else:
-                key = (k, a, l, b) if k < l else (l, b, k, a)
-                cells[key] = cget(key, 0) + u * v
+            key = (k, a + b) if k == l else (k, a, l, b) if k < l else (l, b, k, a)
+            out[key] = get(key, 0) + u * v
 
 
 def _dot(cfg: Configuration, base, pairs: list):
     """base - sum of x * y over (x, y) in pairs, for coefficients; base may
     be None (zero), the pairs' factors may not.
 
-    All products are summed over one common denominator, one real loop
-    (``_conv``) per pair of coordinates: over Q(i),
-    re -= xr yr - xi yi and im -= xr yi + xi yr.  Each cross cell is then
-    reduced once by its partial-fraction expansion,
+    All products are summed over one common denominator, by the product
+    rule of ``intvec`` over the real kernel ``_conv``.  Each cross cell is
+    then reduced once by its partial-fraction expansion,
     ``Configuration.rewrite_ints``.
     """
     den = 1 if base is None else base[0]
@@ -410,20 +404,11 @@ def _dot(cfg: Configuration, base, pairs: list):
     else:
         f = den // base[0]
         acc = tuple({s: v * f for s, v in c.items()} for c in base[1])
-    cells = tuple({} for _ in acc)
     for (xden, xc), (yden, yc) in pairs:
-        f = den // (xden * yden)
-        if len(acc) == 1:
-            _conv(acc[0], cells[0], xc[0], yc[0], -f)
-        else:
-            (re, im), (cre, cim), (xr, xi), (yr, yi) = acc, cells, xc, yc
-            _conv(re, cre, xr, yr, -f)
-            _conv(im, cim, xr, yi, -f)
-            _conv(im, cim, xi, yr, -f)
-            _conv(re, cre, xi, yi, f)
-    keys = {key for c in cells for key in c}
+        apply_rule(_conv, acc, xc, yc, None, -(den // (xden * yden)))
+    keys = {key for c in acc for key in c if key and len(key) == 4}
     if keys:
-        reduced = [([c.get(key, 0) for c in cells], cfg.rewrite_ints(*key)) for key in keys]
+        reduced = [([c.pop(key, 0) for c in acc], cfg.rewrite_ints(*key)) for key in keys]
         rden = lcm(*(d for _w, rw in reduced for _kn, _nums, d in rw))
         if rden > 1:
             den *= rden

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
+
+from .intvec import coord_mul
 
 __all__ = [
     "FieldError",
     "FieldDescriptor",
     "Scalar",
     "QQ",
-    "coord_mul",
     "cyclotomic_field",
     "field_arith",
     "root_of_unity",
@@ -202,17 +203,6 @@ class Scalar:
         if not a:
             return f"{b}*w"
         return f"{a} + {b}*w"
-
-
-def coord_mul(x: Sequence, y: Sequence) -> tuple:
-    """Product of coordinate vectors: one entry over Q, (a, b) for a + b w
-    with w^2 = -1 over the order-4 cyclotomic field.  The entries may be
-    Fractions, integers or packed integer rows."""
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
 
 
 def field_arith(op: str, x: Scalar, y: Scalar) -> Scalar:

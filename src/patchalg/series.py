@@ -9,27 +9,27 @@ Two containers live here:
   together with Weierstrass division by elements that are t-regular of
   degree 1, and the induced prime-power order function.
 
-Internally a series keeps one common integer denominator and per-component
-integer coefficient vectors (two components for the order-4 cyclotomic
-field, one otherwise).  That keeps the inner loops in machine integers; the
-``Scalar`` view is materialized on demand and is exact either way.
+Internally a series keeps one common integer denominator and integer
+coefficient vectors in the component layout of ``intvec`` (one vector over
+Q, re and im over Q(i)), whose kernels do all the integer arithmetic: the
+lcm and gcd passes, sums, scaling and products.  The ``Scalar`` view is
+materialized on demand and is exact either way.
 
-Every product of ``TruncSeries`` goes through one kernel, ``mul_into``,
-which adds scale * x * y into per-component integer lists: one real
-convolution per pair of nonempty components of the factors' ``terms``, so
-over Q(i) a real factor costs what it costs over Q.  ``TruncSeries.__mul__``
-runs it on fresh zero lists; the accumulators of ``analytic`` run it
-straight into their own lists, so a sum of products builds no intermediate
-series, and a caller that multiplies one series by many lists its terms once.
+A ``TruncSeries`` holds one vector per component.  Every product goes
+through one kernel, ``intvec.mul_into``: ``TruncSeries.__mul__`` runs it on
+fresh zero lists, and the accumulators of ``analytic`` run it straight into
+their own lists, so a sum of products builds no intermediate series.  A
+``BivarSeries`` holds one row per t-degree it, the Y-coefficients below the
+cut, and multiplies by the same kernel, one call per pair of nonempty rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
+from .intvec import combine, mul_into, normalize, scalar_ints, scaled, terms, to_ints
 from .scalars import FieldDescriptor, FieldError, Scalar
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "RegularityError",
     "TruncSeries",
     "BivarSeries",
-    "vt",
     "newton_inverse",
     "poly_simple_root",
     "weierstrass_div",
@@ -55,78 +54,6 @@ class RegularityError(ArithmeticError):
     """Divisor violates the required regularity shape."""
 
 
-def _coords_to_ints(coords) -> tuple[list[int], int]:
-    """Common-denominator integer form of a tuple of Fractions."""
-    den = 1
-    for c in coords:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in coords], den
-
-
-def _normalize(den: int, comps: list[list[int]]) -> tuple[int, tuple]:
-    if den == 1:
-        return 1, tuple(tuple(comp) for comp in comps)
-    g = den
-    for comp in comps:
-        for x in comp:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        comps = [[x // g for x in comp] for comp in comps]
-    return den, tuple(tuple(comp) for comp in comps)
-
-
-def terms(comps) -> tuple:
-    """The nonzero terms (n, a) of each component of a ``_c`` layout, in
-    order of t-degree: one list over Q, (re, im) over Q(i)."""
-    if len(comps) == 1:
-        return [(n, a) for n, a in enumerate(comps[0]) if a],
-    re, im = comps
-    return ([(n, a) for n, a in enumerate(re) if a],
-            [(n, a) for n, a in enumerate(im) if a])
-
-
-def mul_into(out: list[list[int]], xt: tuple, yt: tuple, prec: int, scale: int = 1) -> None:
-    """out += scale * x * y mod t^prec, in per-component integer lists.
-
-    out uses the ``_c`` layout of ``TruncSeries``: one integer list per
-    component, one over Q and (re, im) over Q(i).  x and y come as their
-    ``terms``, scaled to their own denominators, which the caller accounts
-    for in ``scale``.  One real loop multiplies every pair of terms below
-    t^prec; over Q(i) it runs per pair of nonempty components, re += xr yr
-    - xi yi and im += xr yi + xi yr.
-    """
-    if len(out) == 2:
-        (re, im), (xr, xi), (yr, yi) = out, xt, yt
-        if xr:
-            if yr:
-                mul_into((re,), (xr,), (yr,), prec, scale)
-            if yi:
-                mul_into((im,), (xr,), (yi,), prec, scale)
-        if xi:
-            if yr:
-                mul_into((im,), (xi,), (yr,), prec, scale)
-            if yi:
-                mul_into((re,), (xi,), (yi,), prec, -scale)
-        return
-    comp = out[0]
-    yt = yt[0]
-    for i, a in xt[0]:
-        lim = prec - i
-        if lim <= 0:
-            break
-        a *= scale
-        for j, b in yt:
-            if j >= lim:
-                break
-            comp[i + j] += a * b
-
-
 class TruncSeries:
     """K[[t]] mod t^prec with exact coefficients.
 
@@ -141,7 +68,7 @@ class TruncSeries:
             raise ValueError("precision must be >= 1")
         self.field = field
         self.prec = prec
-        self.den, self._c = _normalize(den, [list(c) for c in comps])
+        self.den, self._c = normalize(den, comps)
         self._z = None
         self._vt = None
 
@@ -156,15 +83,9 @@ class TruncSeries:
         scalars = [_as_scalar(field, v) for v in values]
         if len(scalars) > prec:
             raise ValueError("more coefficients than precision allows")
-        den = 1
-        for s in scalars:
-            for c in s.coords:
-                den = den * c.denominator // gcd(den, c.denominator)
-        comps = [[0] * prec for _ in range(field.dim)]
-        for n, s in enumerate(scalars):
-            for d, c in enumerate(s.coords):
-                comps[d][n] = int(c * den)
-        return TruncSeries(field, prec, den, comps)
+        nums, den = to_ints(s.coords for s in scalars)
+        nums += [(0,) * field.dim] * (prec - len(nums))
+        return TruncSeries(field, prec, den, list(zip(*nums)))
 
     @staticmethod
     def constant(field: FieldDescriptor, value, prec: int) -> "TruncSeries":
@@ -256,14 +177,7 @@ class TruncSeries:
     def _combine(self, other: "TruncSeries", sign: int) -> "TruncSeries":
         """self + sign * other in one pass over the common window."""
         prec = self._common(other)
-        g = gcd(self.den, other.den)
-        den = self.den // g * other.den
-        f1, f2 = other.den // g, sign * (self.den // g)
-        comps = [
-            [f1 * a + f2 * b for a, b in zip(ca[:prec], cb[:prec])]
-            for ca, cb in zip(self._c, other._c)
-        ]
-        return TruncSeries(self.field, prec, den, comps)
+        return TruncSeries(self.field, prec, *combine(self.den, self._c, other.den, other._c, sign))
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(self.field, self.prec, self.den, [[-x for x in c] for c in self._c])
@@ -277,28 +191,11 @@ class TruncSeries:
     def scale(self, s: Scalar) -> "TruncSeries":
         if s.field != self.field:
             raise FieldError("scalar over a different field")
-        return self.scale_ints(*_coords_to_ints(s.coords))
+        return self.scale_ints(*scalar_ints(s.coords))
 
     def scale_ints(self, nums, sden: int) -> "TruncSeries":
-        """self * nums/sden, a scalar in ``_coords_to_ints`` form.  Over Q(i)
-        a real or purely imaginary scalar multiplies by its nonzero
-        component only."""
-        if len(nums) == 1:
-            a = nums[0]
-            comps = [[a * x for x in self._c[0]]]
-        else:
-            a, b = nums
-            re, im = self._c
-            if not b:
-                comps = [[a * x for x in re], [a * y for y in im]]
-            elif not a:
-                comps = [[-b * y for y in im], [b * x for x in re]]
-            else:
-                comps = [
-                    [a * x - b * y for x, y in zip(re, im)],
-                    [a * y + b * x for x, y in zip(re, im)],
-                ]
-        return TruncSeries(self.field, self.prec, self.den * sden, comps)
+        """self * nums/sden, a scalar in ``intvec.scalar_ints`` form."""
+        return TruncSeries(self.field, self.prec, self.den * sden, scaled(nums, self._c))
 
     def shift_up(self, e: int) -> "TruncSeries":
         """Multiply by t^e (e >= 0); precision window unchanged."""
@@ -376,10 +273,6 @@ def _as_scalar(field: FieldDescriptor, v) -> Scalar:
     return Scalar.of(field, v)
 
 
-def vt(a: TruncSeries):
-    return a.vt()
-
-
 def poly_eval(coeffs: Sequence[TruncSeries], x: TruncSeries) -> TruncSeries:
     """Horner evaluation of a polynomial with TruncSeries coefficients."""
     acc = coeffs[-1]
@@ -435,41 +328,41 @@ def poly_simple_root(coeffs: Sequence[TruncSeries], z0: Scalar) -> TruncSeries:
 class BivarSeries:
     """K[[t, Y]] truncated at total degree prec.
 
-    Stored entries are indexed by (t-exponent, Y-exponent) with exponent sum
-    below prec; everything at or beyond the cut is identically dropped.
+    Row it holds the Y-coefficients of t^it below Y^(prec - it): one
+    integer vector per component, over the series' one denominator, so
+    everything at or beyond the cut is identically dropped.  A product is
+    one ``mul_into`` call per pair of nonempty rows below the cut.
     """
 
-    __slots__ = ("field", "prec", "den", "_c")
+    __slots__ = ("field", "prec", "den", "_r")
 
-    def __init__(self, field: FieldDescriptor, prec: int, den: int, comps):
+    def __init__(self, field: FieldDescriptor, prec: int, den: int, vectors):
+        """vectors lists the rows' components in order: row 0's, then row 1's, ..."""
         if prec < 1:
             raise ValueError("precision must be >= 1")
         self.field = field
         self.prec = prec
-        self.den, self._c = _normalize(den, [list(c) for c in comps])
+        self.den, c = normalize(den, vectors)
+        dim = field.dim
+        self._r = tuple(c[i:i + dim] for i in range(0, len(c), dim))
 
     @staticmethod
     def zero(field: FieldDescriptor, prec: int) -> "BivarSeries":
-        size = prec * prec
-        return BivarSeries(field, prec, 1, [[0] * size for _ in range(field.dim)])
+        zeros = [[0] * (prec - it) for it in range(prec) for _ in range(field.dim)]
+        return BivarSeries(field, prec, 1, zeros)
 
     @staticmethod
     def from_terms(field: FieldDescriptor, terms: dict, prec: int) -> "BivarSeries":
         """terms maps (t-exp, Y-exp) -> coefficient; entries past the cut are dropped."""
-        scalars = {k: _as_scalar(field, v) for k, v in terms.items()}
-        den = 1
-        for s in scalars.values():
-            for c in s.coords:
-                den = den * c.denominator // gcd(den, c.denominator)
-        comps = [[0] * (prec * prec) for _ in range(field.dim)]
-        for (it, iy), s in scalars.items():
+        nums, den = to_ints(_as_scalar(field, v).coords for v in terms.values())
+        rows = [[[0] * (prec - it) for _ in range(field.dim)] for it in range(prec)]
+        for (it, iy), v in zip(terms, nums):
             if it < 0 or iy < 0:
                 raise ValueError("negative exponents are not representable here")
-            if it + iy >= prec:
-                continue
-            for d, c in enumerate(s.coords):
-                comps[d][it * prec + iy] = int(c * den)
-        return BivarSeries(field, prec, den, comps)
+            if it + iy < prec:
+                for comp, x in zip(rows[it], v):
+                    comp[iy] = x
+        return BivarSeries(field, prec, den, [c for row in rows for c in row])
 
     # -- views -------------------------------------------------------------
 
@@ -477,29 +370,22 @@ class BivarSeries:
     def precision(self) -> int:
         return self.prec
 
+    def _vectors(self) -> list:
+        return [c for row in self._r for c in row]
+
     def coeff(self, it: int, iy: int) -> Scalar:
         if it + iy >= self.prec or it < 0 or iy < 0:
             raise IndexError("exponent pair outside the truncation window")
-        idx = it * self.prec + iy
-        return Scalar(self.field, tuple(Fraction(c[idx], self.den) for c in self._c))
+        return Scalar(self.field, tuple(Fraction(c[iy], self.den) for c in self._r[it]))
 
     def terms(self):
-        P = self.prec
-        for it in range(P):
-            for iy in range(P - it):
-                idx = it * P + iy
-                if any(c[idx] for c in self._c):
+        for it, row in enumerate(self._r):
+            for iy in range(self.prec - it):
+                if any(c[iy] for c in row):
                     yield (it, iy), self.coeff(it, iy)
 
     def is_zero(self) -> bool:
-        return all(not any(c) for c in self._c)
-
-    def order(self):
-        """Total-degree order; math.inf when zero to precision."""
-        best = INF
-        for (it, iy), _ in self.terms():
-            best = min(best, it + iy)
-        return best
+        return not any(map(any, self._vectors()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivarSeries):
@@ -508,11 +394,11 @@ class BivarSeries:
             self.field == other.field
             and self.prec == other.prec
             and self.den == other.den
-            and self._c == other._c
+            and self._r == other._r
         )
 
     def __hash__(self):
-        return hash((self.field, self.prec, self.den, self._c))
+        return hash((self.field, self.prec, self.den, self._r))
 
     def __repr__(self) -> str:
         parts = [f"({s})*t^{it}*Y^{iy}" for (it, iy), s in self.terms()]
@@ -530,101 +416,59 @@ class BivarSeries:
     def truncate(self, prec: int) -> "BivarSeries":
         if prec >= self.prec:
             return self
-        comps = []
-        for c in self._c:
-            comps.append(
-                [c[it * self.prec + iy] if it + iy < prec else 0
-                 for it in range(prec) for iy in range(prec)]
-            )
-        return BivarSeries(self.field, prec, self.den, comps)
+        vectors = [c[:prec - it] for it, row in enumerate(self._r[:prec]) for c in row]
+        return BivarSeries(self.field, prec, self.den, vectors)
+
+    def _combine(self, other: "BivarSeries", sign: int) -> "BivarSeries":
+        """self + sign * other; the shorter rows and vectors set the cut."""
+        prec = self._common(other)
+        den, vectors = combine(self.den, self._vectors(), other.den, other._vectors(), sign)
+        return BivarSeries(self.field, prec, den, vectors)
 
     def __add__(self, other: "BivarSeries") -> "BivarSeries":
-        prec = self._common(other)
-        a, b = self.truncate(prec), other.truncate(prec)
-        g = gcd(a.den, b.den)
-        den = a.den // g * b.den
-        f1, f2 = b.den // g, a.den // g
-        comps = [[f1 * x + f2 * y for x, y in zip(ca, cb)] for ca, cb in zip(a._c, b._c)]
-        return BivarSeries(self.field, prec, den, comps)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BivarSeries") -> "BivarSeries":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "BivarSeries":
-        return BivarSeries(self.field, self.prec, self.den, [[-x for x in c] for c in self._c])
-
-    def _nonzero(self, prec: int) -> list:
-        """The nonzero terms (it, iy, v) of each component below total
-        degree prec, in order of total degree."""
-        P = self.prec
-        return [
-            [(it, d - it, comp[it * P + d - it])
-             for d in range(prec) for it in range(d + 1) if comp[it * P + d - it]]
-            for comp in self._c
-        ]
+        vectors = [[-x for x in c] for c in self._vectors()]
+        return BivarSeries(self.field, self.prec, self.den, vectors)
 
     def __mul__(self, other: "BivarSeries") -> "BivarSeries":
-        """One real convolution per pair of nonempty components, each
-        factor's terms listed once, as in ``mul_into``."""
+        """Row it1 times row it2 goes to row it1 + it2 at precision
+        prec - it1 - it2: exactly the total-degree cut."""
         prec = self._common(other)
-        xt, yt = self._nonzero(prec), other._nonzero(prec)
-        out = [[0] * (prec * prec) for _ in xt]
-        if len(out) == 1:
-            passes = ((0, 0, 1, 0),)
-        else:  # re += xr yr - xi yi, im += xr yi + xi yr
-            passes = ((0, 0, 1, 0), (1, 1, -1, 0), (0, 1, 1, 1), (1, 0, 1, 1))
-        for ix, iy, sign, io in passes:
-            xs, ys, target = xt[ix], yt[iy], out[io]
-            if not ys:
-                continue
-            for it1, iy1, v1 in xs:
-                lim = prec - it1 - iy1
-                v1 *= sign
-                for it2, iy2, v2 in ys:
-                    if it2 + iy2 >= lim:
-                        break
-                    target[(it1 + it2) * prec + iy1 + iy2] += v1 * v2
-        return BivarSeries(self.field, prec, self.den * other.den, out)
+        xt = [terms(row) for row in self._r[:prec]]
+        yt = [terms(row) for row in other._r[:prec]]
+        out = [[[0] * (prec - it) for _ in range(self.field.dim)] for it in range(prec)]
+        for it1, x in enumerate(xt):
+            if any(x):
+                for it2, y in enumerate(yt[:prec - it1]):
+                    if any(y):
+                        mul_into(out[it1 + it2], x, y, prec - it1 - it2)
+        return BivarSeries(self.field, prec, self.den * other.den, [c for row in out for c in row])
 
     def scale(self, s: Scalar) -> "BivarSeries":
-        nums, sden = _coords_to_ints(_as_scalar(self.field, s).coords)
-        den = self.den * sden
-        if self.field.dim == 1:
-            comps = [[nums[0] * x for x in self._c[0]]]
-        else:
-            a, b = nums
-            re, im = self._c
-            comps = [
-                [a * x - b * y for x, y in zip(re, im)],
-                [a * y + b * x for x, y in zip(re, im)],
-            ]
-        return BivarSeries(self.field, self.prec, den, comps)
+        nums, sden = scalar_ints(_as_scalar(self.field, s).coords)
+        vectors = [c for row in self._r for c in scaled(nums, row)]
+        return BivarSeries(self.field, self.prec, self.den * sden, vectors)
 
     # -- structure helpers used by the division loop ------------------------
 
     def y_row(self) -> "BivarSeries":
         """The t-free part (a series in Y alone)."""
         P = self.prec
-        comps = []
-        for c in self._c:
-            out = [0] * (P * P)
-            out[:P] = c[:P]
-            comps.append(out)
-        return BivarSeries(self.field, P, self.den, comps)
+        zeros = [[0] * (P - it) for it in range(1, P) for _ in range(self.field.dim)]
+        return BivarSeries(self.field, P, self.den, [*self._r[0], *zeros])
 
     def shift_down_t(self) -> "BivarSeries":
         """(self - y_row)/t as a representative; window size kept."""
-        P = self.prec
-        comps = []
-        for c in self._c:
-            out = [0] * (P * P)
-            out[: P * (P - 1)] = c[P:]
-            comps.append(out)
-        return BivarSeries(self.field, P, self.den, comps)
+        shifted = [[*c, 0] for row in self._r[1:] for c in row]
+        return BivarSeries(self.field, self.prec, self.den, shifted + [[0]] * self.field.dim)
 
     def is_y_only(self) -> bool:
-        P = self.prec
-        return all(not any(c[P:]) for c in self._c)
+        return not any(any(c) for row in self._r[1:] for c in row)
 
 
 def weierstrass_div(g: BivarSeries, f: BivarSeries) -> tuple[BivarSeries, BivarSeries]:

@@ -1,7 +1,7 @@
 """Laws of the chart change, over random configurations.
 
-Q and Q(i), two to five centers (integer or not), precision 4 to 24, and
-random canonical forms of any valuation.
+Q and Q(i), two to five centers (integer or not), precision 4 to 24 (to
+32 for products), and random canonical forms of any valuation.
 """
 
 import random
@@ -31,19 +31,34 @@ def configurations(draw, max_centers=5, max_prec=24):
     return Configuration(field, [Scalar.of(field, a, b) for a, b in centers], prec)
 
 
-@st.composite
-def elements(draw):
-    """(element, some chart) with the element's valuation up to 3; over Q(i)
-    the coefficients have imaginary parts."""
-    cfg = draw(configurations())
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    zdeg = draw(st.integers(1, 6))
+def element(draw, cfg, rng, zdeg):
+    """A random canonical form of valuation up to 3; over Q(i) the
+    coefficients have imaginary parts."""
     f = random_element(cfg, rng, max_zdeg=zdeg)
     if cfg.field == QI:
         g = random_element(cfg, rng, chart=f.chart, max_zdeg=zdeg)
         f = f + g.scale(Scalar.of(QI, 0, 1))
-    f = f.shift_t(draw(st.integers(0, 3)))
+    return f.shift_t(draw(st.integers(0, 3)))
+
+
+@st.composite
+def elements(draw):
+    """(element, some chart)."""
+    cfg = draw(configurations())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = element(draw, cfg, rng, draw(st.integers(1, 6)))
     return f, draw(st.sampled_from(list(cfg.indices)))
+
+
+@st.composite
+def products(draw):
+    """(f * g, some chart) for f and g of one configuration, precision up
+    to 32, each in a chart of its own."""
+    cfg = draw(configurations(max_prec=32))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zdeg = draw(st.integers(1, 3))
+    f, g = element(draw, cfg, rng, zdeg), element(draw, cfg, rng, zdeg)
+    return f * g, draw(st.sampled_from(list(cfg.indices)))
 
 
 @settings(max_examples=40)
@@ -77,3 +92,10 @@ def test_rebase_commutes_with_truncation(fj, data):
 def test_rebase_keeps_valuation(fj):
     f, j = fj
     assert f.rebase(j).valuation() == f.valuation()
+
+
+@settings(max_examples=30)
+@given(products())
+def test_rebase_keeps_valuation_of_products(hj):
+    h, j = hj
+    assert h.rebase(j).valuation() == h.valuation()

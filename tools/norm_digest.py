@@ -1,8 +1,10 @@
-"""Digests of benchmark results: kummer-qi norms, Hensel roots or
-prime-point valuations, ring-ops oracle expansions and cartan factors.
+"""Digests of benchmark results: kummer-qi norms, Hensel roots,
+prime-point valuations or Weierstrass divisions, ring-ops oracle expansions
+and cartan factors.
 
     python3 tools/norm_digest.py --seeds 1 2 3
     python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
+    python3 tools/norm_digest.py --kind bivar --seeds 1 2 3
     python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
     python3 tools/norm_digest.py --kind cartan --seeds 1 2 3
 
@@ -18,6 +20,10 @@ stream and the SHA-256 of the result's exact data:
   prime-point valuations of x, of x r^w, of its conjugates and of its
   norm, and the whole certificate (valuation table, norm-law evidence,
   verdict);
+* ``bivar``, kummer-qi certificate requests: the quotient and remainder
+  of every ``weierstrass_div`` the certificate makes, each read through
+  ``BivarSeries.terms()`` (precision and nonzero coefficients), so the
+  digest does not depend on how a series is stored;
 * ``oracle``, ring-ops mul and oracle requests (f, g): the denominator and
   sorted data of the expansions of f and of g in f's chart (the
   benchmark's ``OracleCache``) and of their ``OracleSeries`` product;
@@ -29,12 +35,12 @@ stream and the SHA-256 of the result's exact data:
 
 Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``hensel_root``,
-``prime_point_valuation``, ``oracle_of_element``, ``OracleSeries``,
-``cartan_factor`` or ``gl_factor`` (or the series product under them) is
-checked by running this script in both and comparing the outputs.  The
-script is part of the checkout, so when it changes, copy the newer version
-into the other checkout before comparing: two versions digest different
-data and never agree.
+``prime_point_valuation``, ``weierstrass_div``, ``oracle_of_element``,
+``OracleSeries``, ``cartan_factor`` or ``gl_factor`` (or the series product
+under them) is checked by running this script in both and comparing the
+outputs.  The script is part of the checkout, so when it changes, copy the
+newer version into the other checkout before comparing: two versions digest
+different data and never agree.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from run import PASS_REQUESTS  # noqa: E402  (the pool of one run)
+from patchalg import series  # noqa: E402
 from patchalg.analytic import prime_point_valuation  # noqa: E402
 from patchalg.oracle import oracle_of_element  # noqa: E402
 from patchalg.patching import cartan_factor, gl_factor  # noqa: E402
@@ -78,6 +85,28 @@ def valuation_data(ctx, kind, inp):
         return out.to_dict()
     v0, vw, conj, nrm = out
     return [v0, vw, conj, prime_point_valuation(nrm, ctx["sc"].pt_r)]
+
+
+def bivar_series_data(s) -> list:
+    """Precision and nonzero coefficients of a bivariate series."""
+    return [s.prec, [(key, c.coords) for key, c in s.terms()]]
+
+
+def bivar_data(ctx, kind, inp) -> list:
+    """(q, r) of every Weierstrass division the request makes, in order."""
+    divide, seen = series.weierstrass_div, []
+
+    def recorded(g, f):
+        q, r = divide(g, f)
+        seen.append([bivar_series_data(q), bivar_series_data(r)])
+        return q, r
+
+    series.weierstrass_div = recorded
+    try:
+        kind.compute(ctx, inp)
+    finally:
+        series.weierstrass_div = divide
+    return seen
 
 
 def oracle_data(ctx, kind, inp) -> list:
@@ -109,6 +138,7 @@ KINDS = {
     "norm": ("kummer-qi", {"norm-law"}, norm_data),
     "hensel": ("kummer-qi", {"hensel"}, hensel_data),
     "valuation": ("kummer-qi", {"norm-law", "certificate"}, valuation_data),
+    "bivar": ("kummer-qi", {"certificate"}, bivar_data),
     "oracle": ("ring-ops", {"mul", "oracle"}, oracle_data),
     "cartan": ("cartan", {"factor", "gl"}, cartan_data),
 }
