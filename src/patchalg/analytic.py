@@ -914,22 +914,30 @@ def split(f: AnalyticElement, J: Iterable[int], Jp: Iterable[int]) -> tuple[Anal
 
 
 def membership(f: AnalyticElement, J: Iterable[int]) -> bool:
-    """Does f lie in the subring generated by {z_k : k in J} (mod t^N)?
+    """Does f lie in the subring A_J generated by {z_k : k in J} (mod t^N)?
 
-    For nonempty J: rebase into a J-chart and inspect the support.  For
-    J = ∅ (the plain power-series ring in X, Y) the criterion is that only
-    the chart generator appears and the z-degree of each t^n layer is at
-    most n, since z_j^m t^n = Y^m (X - c_j Y)^{n-m} exactly when m <= n.
+    Read off f's own chart c, with no chart change: f lies in A_J exactly
+    when every stored slot (k, n) with k != c has k in J, and either c is
+    in J or every chart slot (c, n) has t-valuation >= n.  For J = ∅ (the
+    plain power-series ring in X, Y) that asks for chart slots alone, each
+    of t-valuation >= n.
+
+    The chart's own slots are the exception because z_c^n t^m with m >= n
+    is the polynomial Y^n (X - c_c Y)^{m-n}, while below that t-degree the
+    slot keeps a pole along X - c_c Y.  Every other slot can be read in
+    place: under a chart change c -> c', every target slot of a source
+    slot (k, n) lies in {f0, k, c'} (and f0 goes to {f0, c'}), and the
+    chart change is invertible, so for k not in {c, c'} the k-part of f is
+    zero exactly when the k-part of its image in a J-chart c' is.
     """
     J = frozenset(J)
-    if J:
-        g = f.rebase(f.chart if f.chart in J else min(J))
-        return g.support() <= J
-    g = f
-    if not g.support() <= {g.chart}:
-        return False
-    for (_k, n), s in g.zc.items():
-        if s.vt() < n:
+    c = f.chart
+    free = c in J
+    for (k, n), s in f.zc.items():
+        if k == c:
+            if not free and s.vt() < n:
+                return False
+        elif k not in J:
             return False
     return True
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .analytic import (
@@ -143,6 +144,18 @@ class Scenario:
     @property
     def full_degree(self) -> int:
         return self.q * self.qprime
+
+    @cached_property
+    def bivar_valuations(self) -> dict:
+        """v_f and v_g of a = f/t and b = g/t by the quotient rule, on the
+        fixed X,Y pictures; computed on first use, then kept."""
+        out = {}
+        for name, fdiv in (("f", self.f_bv), ("g", self.g_bv)):
+            va = bivar_prime_valuation(self.f_bv, fdiv)
+            vt = bivar_prime_valuation(self.t_bv, fdiv)
+            out[f"v_{name}(a)"] = va - vt
+            out[f"v_{name}(b)"] = bivar_prime_valuation(self.g_bv, fdiv) - vt
+        return out
 
     def params(self) -> dict:
         return {
@@ -552,15 +565,9 @@ def certify_division_algebra(sc: Scenario, tamper_b: bool = False,
     """
     bexp = 2 if tamper_b else 1
 
-    def vf(gnum: BivarSeries, e: int, fdiv: BivarSeries) -> int:
-        # valuation of (gnum/t)^e along fdiv, via the quotient rule
-        return e * (bivar_prime_valuation(gnum, fdiv) - bivar_prime_valuation(sc.t_bv, fdiv))
-
-    table = {}
-    table["v_f(a)"] = vf(sc.f_bv, 1, sc.f_bv)
-    table["v_f(b)"] = vf(sc.g_bv, bexp, sc.f_bv)
-    table["v_g(a)"] = vf(sc.f_bv, 1, sc.g_bv)
-    table["v_g(b)"] = vf(sc.g_bv, bexp, sc.g_bv)
+    # the rows for b scale by its exponent; the valuations are the scenario's
+    table = {name: (bexp if name.endswith("(b)") else 1) * v
+             for name, v in sc.bivar_valuations.items()}
 
     def vpt(num: AnalyticElement, e: int, pt: PrimePoint) -> int:
         return e * (prime_point_valuation(num, pt) - prime_point_valuation(sc.u2, pt))

@@ -198,13 +198,15 @@ class TruncSeries:
         return TruncSeries(self.field, self.prec, self.den * sden, scaled(nums, self._c))
 
     def shift_up(self, e: int) -> "TruncSeries":
-        """Multiply by t^e (e >= 0); precision window unchanged."""
+        """Multiply by t^e (e >= 0); precision window unchanged, so the
+        result is zero for e >= prec."""
         if e < 0:
             raise ValueError("shift_up wants e >= 0")
         if e == 0:
             return self
-        comps = [[0] * e + list(c[: self.prec - e]) for c in self._c]
-        return TruncSeries(self.field, self.prec, self.den, comps)
+        prec = self.prec
+        comps = [[0] * min(e, prec) + list(c[: max(0, prec - e)]) for c in self._c]
+        return TruncSeries(self.field, prec, self.den, comps)
 
     def shift_down(self, e: int) -> "TruncSeries":
         """Exact division by t^e; needs vt >= e and costs e precision."""

@@ -170,6 +170,16 @@ def test_shift_t():
         f.shift_t(-1)
 
 
+def test_shift_t_past_the_window_is_zero():
+    # shift_up once kept entries past the window: at N = 3 this element read
+    # zero through vt but not through is_zero, support or equals
+    cfg = default_configuration(3)
+    up = z_generator(cfg, 1).shift_t(4)
+    assert up.is_zero()
+    assert up.support() == frozenset()
+    assert up.equals(AnalyticElement.zero(cfg))
+
+
 def test_localized_elements():
     f = LocalizedElement(t_element(CFG, 0), -1)
     assert f.valuation() == 0

@@ -218,6 +218,29 @@ def test_certificate_tampered_refuted(scenario):
     assert cert.tampered
 
 
+def test_certificates_share_the_bivariate_valuations(monkeypatch):
+    """The scenario computes its six bivariate valuations on first use and
+    keeps them; a tampered certificate after a plain one makes none and
+    still doubles the rows for b."""
+    from patchalg import kummer
+
+    sc = build_scenario(Configuration(QQ, [0, 1, 2], 10), **SCEN)
+    calls = []
+    valuation = kummer.bivar_prime_valuation
+
+    def counted(g, f):
+        calls.append(1)
+        return valuation(g, f)
+
+    monkeypatch.setattr(kummer, "bivar_prime_valuation", counted)
+    plain = certify_division_algebra(sc, norm_samples=0)
+    bad = certify_division_algebra(sc, tamper_b=True, norm_samples=0)
+    assert len(calls) == 6
+    assert plain.verdict == "certified" and bad.verdict == "refuted"
+    for name in ("v_f(b)", "v_g(b)"):
+        assert bad.table[name]["computed"] == 2 * plain.table[name]["computed"]
+
+
 def test_grid_norm_identity(scenario):
     small = build_scenario(Configuration(QQ, [0, 1, 2], 10), **SCEN)
     res = grid_norm_identity(small)

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchalg.scalars import QQ, Scalar
-from patchalg.series import NonUnitError, RegularityError, TruncSeries, poly_simple_root
+from patchalg.series import INF, NonUnitError, RegularityError, TruncSeries, poly_simple_root
+from test_series_kernel import fields, series
 
 
 def ser(vals, prec):
@@ -78,6 +81,24 @@ def test_precision_rules():
     assert down.prec == 5
     with pytest.raises(NonUnitError):
         ser([1, 0], 4).shift_down(1)
+
+
+@settings(max_examples=100)
+@given(fields, st.integers(1, 12), st.data())
+def test_shift_up_keeps_the_window(field, prec, data):
+    """t^e * x mod t^prec for e up to and past the window: the schoolbook
+    coefficients, zero for e >= prec, and ``is_zero``, ``==`` and ``vt``
+    agree on it."""
+    x = data.draw(series(field, prec))
+    e = data.draw(st.integers(0, prec + 4))
+    y = x.shift_up(e)
+    zeros = [Scalar.zero(field)] * min(e, prec)
+    assert y == TruncSeries.from_scalars(field, zeros + list(x.coeffs[: max(0, prec - e)]), prec)
+    v = x.vt() + e
+    assert y.vt() == (v if v < prec else INF)
+    assert y.is_zero() == (v >= prec) == (y == TruncSeries.zero(field, prec))
+    if e >= prec:
+        assert y.is_zero()
 
 
 def test_scale_and_coeff():

@@ -21,7 +21,8 @@ stream and the SHA-256 of the result's exact data:
   norm, and the whole certificate (valuation table, norm-law evidence,
   verdict);
 * ``bivar``, kummer-qi certificate requests: the quotient and remainder
-  of every ``weierstrass_div`` the certificate makes, each read through
+  of every distinct ``weierstrass_div`` a certificate makes on a scenario
+  with no cached valuations, in the order first made, each read through
   ``BivarSeries.terms()`` (precision and nonzero coefficients), so the
   digest does not depend on how a series is stored;
 * ``oracle``, ring-ops mul and oracle requests (f, g): the denominator and
@@ -93,12 +94,18 @@ def bivar_series_data(s) -> list:
 
 
 def bivar_data(ctx, kind, inp) -> list:
-    """(q, r) of every Weierstrass division the request makes, in order."""
+    """(q, r) of every distinct Weierstrass division the request makes, in
+    the order first made.  The scenario's cached valuations are dropped
+    first, so that each request makes its divisions, and a division the
+    request repeats is recorded once."""
     divide, seen = series.weierstrass_div, []
+    vars(ctx["sc"]).pop("bivar_valuations", None)
 
     def recorded(g, f):
         q, r = divide(g, f)
-        seen.append([bivar_series_data(q), bivar_series_data(r)])
+        data = [bivar_series_data(q), bivar_series_data(r)]
+        if data not in seen:
+            seen.append(data)
         return q, r
 
     series.weierstrass_div = recorded
