@@ -24,23 +24,29 @@ cell (see ``ae_dot``).
 Chart changes use t_j = (1 + (c_{j'} - c_j) z_{j'}) * t_{j'}.  The
 substitution keeps the t-degree, so the t'^m coefficient of a rebased
 element depends only on the t^m coefficients of the input: for each source
-slot z_k^n a transfer table gives every target slot one weight per m, the
-coefficient of that slot in the canonical form of z_k^n (1 + delta z_{j'})^m.
-A chart change is then one coefficientwise product per source series and
-target slot.
+slot z_k^n a transfer table holds, per m, the canonical form of
+z_k^n (1 + delta z_{j'})^m (see ``rebase``).
+
+The transfer tables are Kronecker-packed (``intvec.pack``): a column over
+its target slots is one integer whose w-bit slots hold the weights, so a
+chart change is one integer multiply-add per source coefficient, and each
+target is unpacked once.  The slot width comes from a bound on the outputs
+taken before the arithmetic, so every result is exact.
 
 Everything here is immutable and pure; configurations carry memo tables for
 the rewrite coefficients and the transfer tables, but those are write-once
-caches (a transfer table only ever grows by appending columns).
+caches (a transfer table only grows, by appending columns or widening its
+slots).
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .intvec import (
-    add_scaled_into, add_weighted_into, content, coord_mul, mul_into, scalar_ints, terms,
+    add_columns_into, add_scaled_into, content, coord_mul, mag, mul_into, pack, scalar_ints,
+    terms, unpack, width,
 )
 from .scalars import FieldDescriptor, FieldError, Scalar
 from .series import (
@@ -200,21 +206,17 @@ class Configuration:
 
     # -- chart-change transfer tables ------------------------------------------
 
-    def transfer(self, j: int, j2: int, k: Optional[int], n: int, length: int) -> tuple:
-        """Weights of the chart change j -> j2 on the source slot z_k^n.
-
-        The f0 slot is k None, n 0.  Returns rows (slot, lo, den, comps), one
-        per target slot (None for f0, else (index, exponent)): the weight of
-        t^m is comps[d][m] / den for each coordinate d, zero for m < lo, given
-        for at least ``length`` values of m.  Weights do not depend on the
-        precision, so one table per (j, j2, k, n) is cached and extended.
-        """
+    def transfer(self, j: int, j2: int, k: Optional[int], n: int, length: int) -> "_TransferTable":
+        """The packed weights of the chart change j -> j2 on the source slot
+        z_k^n (the f0 slot is k None, n 0), with at least ``length``
+        columns.  Weights do not depend on the precision, so one table per
+        (j, j2, k, n) is cached and extended."""
         key = (j, j2, k, n)
         table = self._transfer_cache.get(key)
         if table is None:
             table = self._transfer_cache[key] = _TransferTable(self, j, j2, k, n)
         table.extend(length)
-        return table.rows
+        return table
 
 
 def default_configuration(precision: int = 16) -> Configuration:
@@ -227,9 +229,8 @@ class _TransferTable:
     """Weights of the chart change j -> j2 on one source slot z_k^n.
 
     Column m is the canonical form of z_k^n (1 + delta z_j2)^m, delta =
-    c_j2 - c_j (for the f0 slot, k None, of (1 + delta z_j2)^m), held as
-    integer numerators over one denominator.  Column m + 1 is column m times
-    1 + delta z_j2, where multiplying by z_j2
+    c_j2 - c_j (for the f0 slot, k None, of (1 + delta z_j2)^m).  Column
+    m + 1 is column m times 1 + delta z_j2, where multiplying by z_j2
 
     * moves the f0 slot to (j2, 1) and each (j2, p) to (j2, p + 1);
     * takes the z_k-part through one suffix sweep with
@@ -237,12 +238,19 @@ class _TransferTable:
       beta = 1 / (c_j2 - c_k).
 
     Only f0, (k, 1..n) and (j2, 1..n+m) occur, so a table of length P costs
-    O(P (P + n)) integer operations.  ``rows`` holds the columns turned
-    around: per target slot (slot, lo, den, comps), the weights over m.
+    O(P (P + n)) integer operations.  Only the column being stepped is kept
+    as a dict (``col`` over ``cden``).  Every column is stored packed
+    (``intvec.pack``), as numerators over the table's one denominator
+    ``den`` at the table's slot width ``w``: per component, ``cols`` holds
+    block A, f0 at slot 0 and (j2, p) at slot p, and, for k not in {None,
+    j2}, block B, (k, p) at slot p - 1, each a list over m.  An all-zero
+    imaginary component is the empty tuple.  ``mag`` bounds every stored
+    numerator; ``den`` and ``w`` grow in place as columns are appended or
+    a rebase asks for wider slots.
     """
 
-    __slots__ = ("j2", "k", "n", "dn", "dd", "bn", "bd_pow", "den", "col", "length",
-                 "_rows", "rows")
+    __slots__ = ("j2", "k", "n", "dn", "dd", "bn", "bd_pow", "cden", "col",
+                 "den", "mag", "w", "cols", "length")
 
     def __init__(self, cfg: Configuration, j: int, j2: int, k: Optional[int], n: int):
         self.j2, self.k, self.n = j2, k, n
@@ -253,18 +261,22 @@ class _TransferTable:
             beta = (cfg.centers[j2] - cfg.centers[k]).inverse()
             self.bn, bd = scalar_ints(beta.coords)
             self.bd_pow = [bd ** e for e in range(n + 1)]
-        self.den = 1
+        self.cden = 1
         self.col = {None if k is None else (k, n): [1] + [0] * (cfg.field.dim - 1)}
-        self.length = 0
-        self._rows: dict = {}  # slot -> [lo, den, comps], comps growing by one per column
-        self.rows = ()
+        self.den, self.mag, self.w, self.length = 1, 0, 64, 0
+        blocks = 1 if self.bn is None else 2
+        self.cols = [tuple([] for _ in range(blocks))] + [()] * (cfg.field.dim - 1)
+
+    def a_len(self, m: int) -> int:
+        """The slots of column m's block A: f0 and (j2, 1..)."""
+        return m + 1 + (self.n if self.k == self.j2 else 0)
 
     def _step(self) -> None:
         """Replace column m by column m + 1."""
         j2, k, n, col = self.j2, self.k, self.n, self.col
         zero = [0] * len(self.dn)
         B = self.bd_pow[-1]
-        # z_j2 * column m, over the denominator den * B
+        # z_j2 * column m, over the denominator cden * B
         z = {}
         for slot, v in col.items():
             if slot is None:
@@ -272,7 +284,7 @@ class _TransferTable:
             elif slot[0] == j2:
                 z[(j2, slot[1] + 1)] = [x * B for x in v]
         if self.bn is not None:
-            # u holds sum_{p >= r} e_p beta^(p-r+1) over den * bd^(n-r+1)
+            # u holds sum_{p >= r} e_p beta^(p-r+1) over cden * bd^(n-r+1)
             u = zero
             for r in range(n, 0, -1):
                 e = col.get((k, r), zero)
@@ -285,45 +297,60 @@ class _TransferTable:
             dv = coord_mul(self.dn, v)
             old = new.get(slot)
             new[slot] = dv if old is None else [x + y for x, y in zip(old, dv)]
-        den = self.den * f
+        den = self.cden * f
         g = content(den, new.values())
-        self.den = den // g
+        self.cden = den // g
         self.col = {slot: [x // g for x in v] for slot, v in new.items() if any(v)}
 
-    def extend(self, length: int) -> None:
-        """Make ``rows`` cover m < length, appending columns to the table."""
-        if length <= self.length:
-            return
-        rows = self._rows
-        dim = len(self.dn)
-        while self.length < length:
-            m = self.length
-            if m:
-                self._step()
-            E, col = self.den, self.col
-            for slot in col:
-                if slot not in rows:
-                    rows[slot] = [m, E, [[0] * m for _ in range(dim)]]
-            for slot, row in rows.items():
-                v = col.get(slot)
-                if v is None:
-                    for c in row[2]:
-                        c.append(0)
+    def _store(self) -> None:
+        """Append the current column, packed over the table's denominator;
+        the stored columns are widened before they are rescaled to it."""
+        m, col, dim = self.length, self.col, len(self.cols)
+        den = lcm(self.den, self.cden)
+        r, f = den // self.den, den // self.cden
+        a = [[0] * self.a_len(m) for _ in range(dim)]
+        b = [[0] * self.n for _ in range(dim)]
+        for slot, v in col.items():
+            row, i = (a, 0) if slot is None else (a, slot[1]) if slot[0] == self.j2 else (b, slot[1] - 1)
+            for d in range(dim):
+                row[d][i] = v[d] * f
+        blocks = (a, b)[:len(self.cols[0])]
+        top = max(self.mag * r, *(mag(block) for block in blocks if block[0]))
+        self.widen(width(top))
+        if r != 1:
+            for comp in self.cols:
+                for block in comp:
+                    block[:] = [x * r for x in block]
+        self.den, self.mag = den, top
+        for d in range(dim):
+            if not self.cols[d]:
+                if not any(any(block[d]) for block in blocks):
                     continue
-                _lo, den, comps = row
-                if den % E:
-                    # rescale into fresh lists: rows handed out earlier keep their denominator
-                    s = E // gcd(den, E)
-                    row[1] = den = den * s
-                    row[2] = comps = [[x * s for x in c] for c in comps]
-                for c, x in zip(comps, v):
-                    c.append(x * (den // E))
+                self.cols[d] = tuple([0] * m for _ in blocks)
+            for stored, block in zip(self.cols[d], blocks):
+                stored.append(pack(block[d], self.w))
+
+    def extend(self, length: int) -> None:
+        """Append columns until the table covers m < length."""
+        while self.length < length:
+            if self.length:
+                self._step()
+            self._store()
             self.length += 1
-        self.rows = tuple((slot, lo, den, tuple(comps)) for slot, (lo, den, comps) in rows.items())
+
+    def widen(self, w: int) -> None:
+        """Repack every stored column at slot width w, if that is wider."""
+        if w <= self.w:
+            return
+        old, self.w = self.w, w
+        for comp in self.cols:
+            for i, block in enumerate(comp):
+                block[:] = [pack(unpack(x, old, self.n if i else self.a_len(m)), w)
+                            for m, x in enumerate(block)]
 
 
 # ---------------------------------------------------------------------------
-# series accumulator (shared by the mul/rebase kernels)
+# series accumulator (the product kernel, polynomial embeddings, prime points)
 # ---------------------------------------------------------------------------
 
 
@@ -384,11 +411,6 @@ class _SeriesAcc:
         """self += ts * nums/sden for a TruncSeries or _SeriesAcc ts."""
         f = self._merge_den(ts.den * sden)
         add_scaled_into(self._c, ts._c, nums, min(self.prec, ts.prec), f)
-
-    def add_weighted(self, ts: TruncSeries, lo: int, nums, den: int) -> None:
-        """self += ts times the weights nums/den coefficientwise in t, from t^lo on."""
-        f = self._merge_den(ts.den * den)
-        add_weighted_into(self._c, ts._c, nums, range(lo, min(self.prec, ts.prec, len(nums[0]))), f)
 
     def is_zero(self) -> bool:
         return all(not any(c) for c in self._c)
@@ -512,6 +534,21 @@ class AnalyticElement:
             {kn: s.truncate(prec) for kn, s in self.zc.items()},
         )
 
+    def widen(self, prec: int) -> "AnalyticElement":
+        """The same data read mod t^prec, prec >= precision: every series is
+        zero-extended.  This is not the element mod t^prec; it serves
+        internal steps whose result is checked or cut at the precision the
+        data holds."""
+        if prec <= self.precision:
+            return self
+
+        def widen(s: TruncSeries) -> TruncSeries:
+            return TruncSeries(s.field, prec, s.den, [c + (0,) * (prec - s.prec) for c in s._c])
+
+        return AnalyticElement(
+            self.cfg, self.chart, widen(self.f0), {kn: widen(s) for kn, s in self.zc.items()}
+        )
+
     def __repr__(self) -> str:
         bits = []
         if not self.f0.is_zero():
@@ -595,9 +632,16 @@ class AnalyticElement:
         """The same ring element written over t' = X - c_{j'} Y.
 
         Substitutes t = (1 + (c_{j'} - c_j) z_{j'}) t'.  That keeps the
-        t-degree, so every target slot receives each source series times a
-        weight vector over the t-degree, read from the configuration's
-        transfer table for the source slot (``Configuration.transfer``).
+        t-degree, so the t'^m coefficient of every target slot is a sum of
+        the sources' t^m coefficients times their transfer tables' column m
+        (``Configuration.transfer``).  The columns are packed over target
+        slots, so each (source slot, t-degree) is one integer multiply-add
+        per block: block A (f0 and the z_{j'} slots) is shared by every
+        source, block B (the slots z_k^p) by the sources of index k.  All
+        sources share one denominator and one slot width, from a bound on
+        the sum; each target block is then unpacked once, with the
+        t-degrees stacked at a fixed stride, and each slot's series is one
+        slice of it.
         """
         if to_chart == self.chart:
             return self
@@ -605,22 +649,39 @@ class AnalyticElement:
         if to_chart not in cfg.indices:
             raise ChartError(f"chart {to_chart} outside the configured index set")
         prec = self.precision
-        acc: dict = {}
-        for k, n, s in self._term_list():
-            v = s.vt()
-            for slot, lo, den, comps in cfg.transfer(self.chart, to_chart, k, n, prec):
-                start = max(lo, v)
-                if start >= prec:
-                    continue
-                a = acc.get(slot)
-                if a is None:
-                    a = acc[slot] = _SeriesAcc(cfg.field, prec)
-                a.add_weighted(s, start, comps, den)
-        f0 = acc.pop(None, None)
-        zc = {kn: a.result() for kn, a in acc.items() if not a.is_zero()}
-        return AnalyticElement(
-            cfg, to_chart, f0.result() if f0 else cfg.zero_series(prec), zc
-        )
+        src = [(k, s, cfg.transfer(self.chart, to_chart, k, n, prec)) for k, n, s in self._term_list()]
+        if not src:
+            return AnalyticElement.zero(cfg, to_chart, prec)
+        den = lcm(*(s.den * t.den for _k, s, t in src))
+        dim = cfg.field.dim
+        bound = dim * sum(mag(s._c) * (den // (s.den * t.den)) * t.mag for _k, s, t in src)
+        w = max(width(bound), *(t.w for _k, _s, t in src))
+        blocks: dict = {None: [[0] * prec for _ in range(dim)]}  # None: block A; k: block B of k
+        strides = {None: prec + max((t.n for k, _s, t in src if k == to_chart), default=0)}
+        for k, s, t in src:
+            t.widen(w)
+            out = [blocks[None]]
+            if len(t.cols[0]) == 2:
+                out.append(blocks.setdefault(k, [[0] * prec for _ in range(dim)]))
+                strides[k] = max(strides.get(k, 0), t.n)
+            add_columns_into(tuple(zip(*out)), s._c, t.cols, range(s.vt(), prec), den // (s.den * t.den))
+        f0 = None
+        zc = {}
+        for k, acc in blocks.items():
+            stride = strides[k]
+            vals = [unpack(pack(c, w * stride), w, stride * prec) if any(c) else [0] * (stride * prec)
+                    for c in acc]
+            for i in range(stride):
+                comps = [v[i::stride] for v in vals]
+                if any(map(any, comps)):
+                    series = TruncSeries(cfg.field, prec, den, comps)
+                    if k is not None:
+                        zc[(k, i + 1)] = series
+                    elif i:
+                        zc[(to_chart, i)] = series
+                    else:
+                        f0 = series
+        return AnalyticElement(cfg, to_chart, f0 or cfg.zero_series(prec), zc)
 
     # -- t-power shifts ----------------------------------------------------------
 

@@ -14,10 +14,21 @@ nonempty components, so a real factor over Q(i) costs what it costs over Q.
 A kernel takes (out, x, y, arg, scale) and adds scale * x * y into the
 components out.  Every kernel here runs its real loop directly over Q and
 hands itself to ``apply_rule`` over Q(i).
+
+The packed form (Kronecker substitution) turns an integer vector into the
+single integer sum c_i 2^(w i), so one integer product of two packed
+t-series is their whole convolution, and one integer multiply-add scales a
+whole vector.  The slot width w is a multiple of 64 with every slot of a
+result below 2^(w-1) in magnitude (``width``).  Sums and products are
+exact modulo 2^(w count), so a packed value may be kept as any integer
+congruent to it; ``unpack`` reads its lowest ``count`` signed slots back
+exactly.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -128,15 +139,20 @@ def add_scaled_into(out, x, nums, lim: int, scale: int) -> None:
             comp[n] += a * v
 
 
-def add_weighted_into(out, x, w, span: range, scale: int) -> None:
-    """out += scale * x * w coefficientwise, on the entries m in span."""
+def add_columns_into(out, x, cols, span: range, scale: int) -> None:
+    """out[b][m] += scale * x[m] * cols[b][m] for every block b of packed
+    columns and every m in span: one integer multiply-add per entry of x
+    and block.  A component of out or cols is a tuple of blocks, one list
+    over m each; an empty tuple is an all-zero component."""
     if len(out) == 2:
-        return apply_rule(add_weighted_into, out, _nonzero(x), _nonzero(w), span, scale)
-    comp, src, wt = out[0], x[0], w[0]
+        return apply_rule(add_columns_into, out, _nonzero(x), cols, span, scale)
+    blocks, src = tuple(zip(out[0], cols[0])), x[0]
     for m in span:
         v = src[m]
         if v:
-            comp[m] += scale * v * wt[m]
+            v *= scale
+            for acc, col in blocks:
+                acc[m] += v * col[m]
 
 
 def terms(comps) -> tuple:
@@ -168,3 +184,59 @@ def mul_into(out, xt: tuple, yt: tuple, prec: int, scale: int = 1) -> None:
             if j >= lim:
                 break
             comp[i + j] += a * b
+
+
+# -- packed form -------------------------------------------------------------
+
+
+def mag(comps) -> int:
+    """The largest magnitude in nonempty integer vectors."""
+    m = 0
+    for c in comps:
+        m = max(m, max(c), -min(c))
+    return m
+
+
+def width(bound: int) -> int:
+    """Slot width for packed vectors whose slots have magnitude at most
+    ``bound``: the least multiple of 64 above its bit length, so every slot
+    lies in [-2^(w-1), 2^(w-1)) and ``unpack`` reads it exactly."""
+    return (bound.bit_length() // 64 + 1) * 64
+
+
+def pack(row, w: int) -> int:
+    """The integer sum row[i] * 2^(w i); entries may be negative."""
+    v = 0
+    for c in reversed(row):
+        v = (v << w) + c
+    return v
+
+
+@lru_cache(maxsize=512)
+def _bias(w: int, count: int) -> tuple:
+    """(sum of 2^(w-1) 2^(w i) for i < count, 2^(w count) - 1)."""
+    half = b"\x00" * (w // 8 - 1) + b"\x80"
+    return int.from_bytes(half * count, "little"), (1 << w * count) - 1
+
+
+def unpack(v: int, w: int, count: int) -> list:
+    """The lowest ``count`` signed w-bit slots of a packed integer, w a
+    multiple of 64; none for count <= 0."""
+    if count <= 0:
+        return []
+    bias, mask = _bias(w, count)
+    return _slots((v + bias) & mask, w, count)
+
+
+def _slots(u: int, w: int, count: int) -> list:
+    """The slots of a packed integer whose slots were all biased by
+    2^(w-1): each is then a nonnegative w-bit number with no borrow from
+    the slot below, read from the 64-bit limbs of u."""
+    limbs = array("Q", u.to_bytes(w * count // 8, "little"))
+    half = 1 << (w - 1)
+    if w == 64:
+        return [x - half for x in limbs]
+    if w == 128:
+        return [(lo | hi << 64) - half for lo, hi in zip(limbs[::2], limbs[1::2])]
+    raw, step = limbs.tobytes(), w // 8
+    return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]

@@ -82,32 +82,41 @@ def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     carried from step to step and refined by one step of
     ``series.newton_inverse``'s iteration, w <- w - w (q s^{q-1} w - 1),
     instead of being inverted anew (Bernstein, "Removing redundancy in
-    high-precision Newton iteration").  The loop returns as soon as the
+    high-precision Newton iteration").  Step k runs mod t^min(2^k, N):
+    s is then right mod t^(2^k) and w mod t^(2^(k-1)), which is all the
+    next step reads, and truncation commutes with every operation here, so
+    each iterate is the full-precision iterate mod t^(2^k) (Brent and Kung,
+    JACM 1978).  The iterates are zero-extended (``AnalyticElement.widen``)
+    from step to step.  At precision N the loop returns as soon as the
     residual s^{q-1} s - a vanishes within the window, so every root is
-    checked to satisfy s^q = a, and raises ArithmeticError if it has not
-    after ceil(log2 N) + 1 steps.  The correction stays in the ideal, so
-    s = 1 mod t throughout; a root = 1 mod t is unique, so it is the one
-    exact Newton would give.
+    checked to satisfy s^q = a at full precision, and raises
+    ArithmeticError if it has not after ``newton_passes(N)`` passes.  The
+    correction stays in the ideal, so s = 1 mod t throughout; a root = 1
+    mod t is unique, so it is the one exact Newton would give.
     """
     if q < 1:
         raise ValueError("root order must be positive")
     cfg = a.cfg
     if not a.support() <= {a.chart}:
         raise SupportError("Hensel input must live in the chart's own subring")
-    one = AnalyticElement.one(cfg, a.chart, a.precision)
+    N = a.precision
+    one = AnalyticElement.one(cfg, a.chart, N)
     if (a - one).valuation() < 1:
         raise ValueError("Hensel root needs a = 1 mod t")
     if q == 1:
         return a
     qs = Scalar.of(cfg.field, q)
-    s = one
-    w = unit_invert(one.scale(qs))
-    for _ in range(newton_passes(a.precision)):
+    s = one.truncate(1)
+    w = unit_invert(s.scale(qs))
+    p = 1
+    for _ in range(newton_passes(N)):
+        p = min(2 * p, N)
+        s, w = s.widen(p), w.widen(p)
         sq_1 = s ** (q - 1)
-        residue = sq_1 * s - a
-        if residue.is_zero():
+        residue = sq_1 * s - a.truncate(p)
+        if residue.is_zero() and p == N:
             return s
-        w = w - w * (sq_1.scale(qs) * w - one)
+        w = w - w * (sq_1.scale(qs) * w - one.truncate(p))
         s = s - residue * w
     raise ArithmeticError("Hensel iteration failed to converge (internal bug)")
 

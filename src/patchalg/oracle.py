@@ -27,18 +27,20 @@ row (1 + gamma z)^m, both written down in closed form and kept in an
 ``OracleCache``.
 
 Rows are integer lists over one denominator, and products of rows are
-Kronecker substitutions: a row packs into the single integer
-sum c_i 2^(w i), so one integer product multiplies two rows, and the
-product's slots are read back as signed w-bit digits.  The width w is one
-bit more than the bit length of a bound on every slot: the number of
-products summed into one slot times the operands' largest magnitudes
-(``_width``).  So no slot can overflow, and every result is exact.  ``OracleSeries`` products pack each z-row in t;
-expansions pack each t-degree's z-row and stack the t-degrees in one
-integer per slot series.  Over Q(i) the real and imaginary parts pack
-separately and multiply as four integer products, on the same code path.
+Kronecker substitutions (``intvec.pack``): a row packs into the single
+integer sum c_i 2^(w i), so one integer product multiplies two rows, and
+the product's slots are read back as signed w-bit digits.  The width w
+holds a bound on every slot: the number of products summed into one slot
+times the operands' largest magnitudes (``intvec.width``).  So no slot can
+overflow, and every result is exact.  ``OracleSeries`` products pack each
+z-row in t; expansions pack each t-degree's z-row and stack the t-degrees
+in one integer per slot series.  Over Q(i) the real and imaginary parts
+pack separately and multiply as four integer products, on the same code
+path.
 
 Independence: the oracle reads only the stored integer data of an element
-(its series' numerators and denominators, its chart and the centers).  It
+(its series' numerators and denominators, its chart and the centers), and
+shares with ``analytic`` only the integer plumbing of ``intvec``.  It
 never calls the rewrite rule, the chart-change transfer tables, ``ae_dot``
 or the series accumulators of ``analytic``.
 """
@@ -51,7 +53,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Optional
 
-from .intvec import content, coord_mul, scalar_ints, to_ints
+from .intvec import content, coord_mul, mag, pack, scalar_ints, to_ints, unpack, width
 from .scalars import FieldDescriptor, Scalar
 from .series import TruncSeries
 
@@ -172,45 +174,6 @@ def zvar(k: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# packed integer rows
-# ---------------------------------------------------------------------------
-
-
-def _width(bound: int) -> int:
-    """Slot width w for packed rows whose slots have magnitude at most
-    ``bound``: every slot then lies in (-2^(w-1), 2^(w-1)), so ``_unpack``
-    reads it back exactly."""
-    return bound.bit_length() + 1
-
-
-def _mag(comps) -> int:
-    """The largest magnitude in integer coordinate lists."""
-    return max(max(max(c), -min(c)) for c in comps)
-
-
-def _pack(row: list, w: int) -> int:
-    """The integer sum row[i] * 2^(w*i); entries may be negative."""
-    v = 0
-    for c in reversed(row):
-        v = (v << w) + c
-    return v
-
-
-def _unpack(v: int, w: int, count: int) -> list:
-    """The first ``count`` signed w-bit slots of a packed row."""
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    out = []
-    for _ in range(count):
-        c = v & mask
-        v >>= w
-        if c & half:
-            c -= mask + 1
-            v += 1
-        out.append(c)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # windowed bivariate series in (z_j, t)
 # ---------------------------------------------------------------------------
 
@@ -320,7 +283,7 @@ class OracleSeries:
         # an output slot sums, for each term of one operand, at most one
         # term product of the other, dim coordinate products each
         count = self.field.dim * min(len(self.data), len(other.data))
-        w = _width(count * _mag(zip(*self.data.values())) * _mag(zip(*other.data.values())))
+        w = width(count * mag(zip(*self.data.values())) * mag(zip(*other.data.values())))
         lo_a, rows_a = self._t_rows(w)
         lo_b, rows_b = other._t_rows(w)
         acc: dict = {}
@@ -334,21 +297,22 @@ class OracleSeries:
         lo = lo_a + lo_b
         out = {}
         for m, row in acc.items():
-            for i, v in enumerate(zip(*(_unpack(x, w, N - lo) for x in row))):
+            for i, v in enumerate(zip(*(unpack(x, w, N - lo) for x in row))):
                 out[(m, lo + i)] = v
         return OracleSeries(self.field, M, N, self.den * other.den, out)
 
     def _t_rows(self, w: int) -> tuple:
         """(lowest t-exponent lo, {z-exponent: packed row per coordinate}):
-        row m holds the t^n coefficient at bit w*(n - lo)."""
+        row m holds the t^n coefficient in slot n - lo."""
         lo = min(n for (_m, n) in self.data)
         rows: dict = {}
         for (m, n), v in self.data.items():
-            rows.setdefault(m, []).append((w * (n - lo), v))
-        return lo, {
-            m: tuple(sum(v[d] << s for s, v in ts) for d in range(self.field.dim))
-            for m, ts in rows.items()
-        }
+            row = rows.get(m)
+            if row is None:
+                row = rows[m] = [[0] * (self.tprec - lo) for _ in v]
+            for c, x in zip(row, v):
+                c[n - lo] = x
+        return lo, {m: tuple(pack(c, w) for c in row) for m, row in rows.items()}
 
     def scale(self, s: Scalar) -> "OracleSeries":
         unit = OracleSeries.from_scalar_terms(self.field, self.zdepth, self.tprec, {(0, 0): s})
@@ -459,7 +423,7 @@ def _row(den: int, coeffs: list) -> tuple:
     """(den, mag, coordinates) of the z-row whose z^l numerators are
     coeffs[l], mag the largest magnitude among them."""
     comps = tuple(map(list, zip(*coeffs)))
-    return den, _mag(comps), comps
+    return den, mag(comps), comps
 
 
 class OracleCache:
@@ -547,21 +511,21 @@ def oracle_of_element(f, chart: int, cache: OracleCache) -> OracleSeries:
     slots = [(s, den // (s.den * rden), rmag, row) for s, (rden, rmag, row) in slots]
     # a coordinate of a t-degree's z-row sums dim products per slot, and
     # one of its stretch sums dim products per stretch term
-    rowmag = dim * sum(_mag(s._c) * mult * rmag for s, mult, rmag, _r in slots)
-    w = _width(dim * gterms * gmag * rowmag)
+    rowmag = dim * sum(mag(s._c) * mult * rmag for s, mult, rmag, _r in slots)
+    w = width(dim * gterms * gmag * rowmag)
     # t-stride: a t-degree's z-row has zdepth slots below 2^(w-1), so the
     # packed row lies below 2^(W-1) and unpacks as one signed W-bit slot
     W = w * M
     acc = (0,) * dim
     for s, mult, _m, row in slots:
-        series = tuple(_pack(c[:N], W) for c in s._c)
-        zrow = tuple(mult * _pack(r, w) for r in row)
+        series = tuple(pack(c[:N], W) for c in s._c)
+        zrow = tuple(mult * pack(r, w) for r in row)
         acc = tuple(map(operator.add, acc, coord_mul(series, zrow)))
     out = {}
-    for m, row in enumerate(zip(*(_unpack(x, W, N) for x in acc))):
+    for m, row in enumerate(zip(*(unpack(x, W, N) for x in acc))):
         if any(row):
-            g = tuple(_pack(r, w) for r in stretch[m])
-            for i, v in enumerate(zip(*(_unpack(x, w, M) for x in coord_mul(row, g)))):
+            g = tuple(pack(r, w) for r in stretch[m])
+            for i, v in enumerate(zip(*(unpack(x, w, M) for x in coord_mul(row, g)))):
                 out[(i, m)] = v
     return OracleSeries(f.cfg.field, M, N, den * gden, out)
 

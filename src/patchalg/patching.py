@@ -217,6 +217,24 @@ class PatchMatrix:
             total = LocalizedElement(AnalyticElement.zero(self.cfg, self.chart, self.precision), 0)
         return total
 
+    def det_by(self, adj: "PatchMatrix") -> LocalizedElement:
+        """The determinant read off the adjugate adj: the first row against
+        the cofactors adj[c][0], n products where the cofactor expansion
+        makes one per pivot at every level.  The terms and their order are
+        those of ``det``, so the result is the same."""
+        if self.n == 1:
+            return self.rows[0][0]
+        total = None
+        for c in range(self.n):
+            pivot = self.rows[0][c]
+            if pivot.is_zero():
+                continue
+            term = pivot * adj.rows[c][0]
+            total = term if total is None else total + term
+        if total is None:
+            total = LocalizedElement(AnalyticElement.zero(self.cfg, self.chart, self.precision), 0)
+        return total
+
     def adjugate(self) -> "PatchMatrix":
         idx = list(range(self.n))
         out = [[None] * self.n for _ in range(self.n)]
@@ -646,13 +664,7 @@ def _density_step(adj: PatchMatrix, u_body: AnalyticElement, e: int) -> PatchMat
 
     def entry(x: LocalizedElement) -> LocalizedElement:
         f = u_inv * x.body.truncate(q)
-        prec = min(u_body.precision, x.body.precision)
-
-        def widen(s: TruncSeries) -> TruncSeries:
-            return TruncSeries(s.field, prec, s.den, [c + (0,) * (prec - s.prec) for c in s._c])
-
-        zc = {kn: widen(s) for kn, s in f.zc.items()}
-        return LocalizedElement(AnalyticElement(f.cfg, f.chart, widen(f.f0), zc), 0)
+        return LocalizedElement(f.widen(min(u_body.precision, x.body.precision)), 0)
 
     return PatchMatrix([[entry(x) for x in row] for row in adj.rows], adj.chart)
 
@@ -666,7 +678,8 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
     a0 of u^-1 adj at t-degree e, runs mod t^(e+1) and is zero-extended to
     each entry's window (``_density_step``); the determinant, the adjugate
     and the inverse of a0's determinant unit, which fix e, those windows
-    and W, stay at full precision.
+    and W, stay at full precision.  Each determinant, of b and of a0, is
+    read off the adjugate that the step builds anyway (``det_by``).
     """
     cfg = b.cfg
     chart = b.chart
@@ -681,14 +694,15 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
         chart,
     )
 
-    d = b_hat.det()
+    adj = b_hat.adjugate()
+    d = b_hat.det_by(adj)
     dv = d.valuation()
     if dv == INF:
         raise FactorizationError("determinant vanishes at this precision")
     e = dv - d.tshift
     u_body = d.body.shift_t(-e)
     try:
-        a0 = _density_step(b_hat.adjugate(), u_body, e)
+        a0 = _density_step(adj, u_body, e)
     except UnitNotRecognized as exc:
         raise FactorizationError(
             "restricted pipeline: the unit part of det(b) is outside the recognized "
@@ -708,7 +722,8 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
     cart = cartan_factor(ba, i)
 
     # a^{-1} = t^{e - e'} * W with W = u0^{-1} adj(a0)
-    d0 = a0.det()
+    adj0 = a0.adjugate()
+    d0 = a0.det_by(adj0)
     d0v = d0.valuation()
     if d0v == INF:
         raise FactorizationError("cut matrix is singular at this precision")
@@ -721,7 +736,7 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
             f"restricted pipeline: cut determinant outside recognized classes ({exc})"
         ) from exc
     W = PatchMatrix(
-        [[LocalizedElement(u0_inv * x.body, x.tshift) for x in row] for row in a0.adjugate().rows],
+        [[LocalizedElement(u0_inv * x.body, x.tshift) for x in row] for row in adj0.rows],
         chart,
     )
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from patchalg import analytic, patching
 from patchalg.analytic import (
     AnalyticElement,
     Configuration,
@@ -198,6 +199,35 @@ def test_gl_3x3_at_n48_with_five_centers():
     assert all(res.side_memberships)
     assert all(membership(x.body, J) for row in res.b1.rows for x in row)
     assert all(membership(x.body, {i}) for row in res.b2.rows for x in row)
+
+
+def test_gl_reads_determinants_off_the_adjugate(monkeypatch):
+    """B1 * diag(t, 1, 1) * B2, 3 x 3 over five centers: both determinants,
+    of b and of the cut a0, are read off the adjugates the step builds,
+    three products each instead of the cofactor expansion's nine.  On this
+    input gl_factor makes 77 ``ae_dot`` calls (86 with the expansion; some
+    products of a0 are by an exact 1 and make none)."""
+    cfg = Configuration(QQ, [0, 1, 2, 3, 4], 12)
+    one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
+    i = 2
+    B1, B2 = _one_sided_factors(cfg, 3, i, random.Random(5), max_zdeg=1)
+    D = PatchMatrix([[t_element(cfg, 0), zero, zero], [zero, one, zero], [zero, zero, one]], 0)
+    B = B1 * D * B2
+    assert B.det_by(B.adjugate()).equals(B.det())
+    calls = []
+    real = analytic.ae_dot
+
+    def counted(pairs):
+        calls.append(1)
+        return real(pairs)
+
+    monkeypatch.setattr(analytic, "ae_dot", counted)
+    monkeypatch.setattr(patching, "ae_dot", counted)
+    res = gl_factor(B, i)
+    monkeypatch.undo()
+    assert len(calls) <= 77
+    assert res.notes == {"cleared_shift": 0, "det_order": 1, "cut_det_order": 2, "rounds": 4}
+    assert (res.b1 * res.b2).equals(B)
 
 
 def test_gl_det_order_one_over_qi_at_n32():

@@ -1,7 +1,8 @@
 """Laws of the chart change, over random configurations.
 
 Q and Q(i), two to five centers (integer or not), precision 4 to 24 (to
-32 for products), and random canonical forms of any valuation.
+32 for products, about half of those at 24 or 32), and random canonical
+forms of any valuation.
 """
 
 import random
@@ -20,14 +21,22 @@ coords = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def configurations(draw, max_centers=5, max_prec=24):
+def configurations(draw, max_centers=5, max_prec=24, at_top=False):
+    """A field, two to max_centers distinct centers and a precision from 4
+    to max_prec.  With at_top, about half of the draws take the precision
+    from 24, 32 and max_prec, where the packed kernels' slot widths grow:
+    under the suite's derandomized profile an integer draw alone keeps most
+    precisions near 4."""
     field = draw(st.sampled_from([QQ, QI]))
     if field == QQ:
         pairs = st.tuples(coords, st.just(Fraction(0)))
     else:
         pairs = st.tuples(coords, coords)
     centers = draw(st.lists(pairs, min_size=2, max_size=max_centers, unique=True))
-    prec = draw(st.integers(4, max_prec))
+    precs = st.integers(4, max_prec)
+    if at_top:
+        precs = st.sampled_from(sorted({p for p in (24, 32, max_prec) if p <= max_prec})) | precs
+    prec = draw(precs)
     return Configuration(field, [Scalar.of(field, a, b) for a, b in centers], prec)
 
 
@@ -54,7 +63,7 @@ def elements(draw):
 def products(draw):
     """(f * g, some chart) for f and g of one configuration, precision up
     to 32, each in a chart of its own."""
-    cfg = draw(configurations(max_prec=32))
+    cfg = draw(configurations(max_prec=32, at_top=True))
     rng = random.Random(draw(st.integers(0, 2**32)))
     zdeg = draw(st.integers(1, 3))
     f, g = element(draw, cfg, rng, zdeg), element(draw, cfg, rng, zdeg)

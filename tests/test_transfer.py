@@ -1,4 +1,5 @@
-"""The chart-change transfer tables against the reduction rule."""
+"""The chart-change transfer tables against the reduction rule, read
+from their packed columns."""
 
 from fractions import Fraction
 from math import comb
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 
 from patchalg.analytic import Configuration
+from patchalg.intvec import unpack
 from patchalg.scalars import QQ, Scalar, cyclotomic_field
 
 QI = cyclotomic_field(4)
@@ -16,10 +18,22 @@ CONFIGS = [
 SOURCES = [(None, 0)] + [(k, n) for k in range(3) for n in range(1, 5)]
 
 
-def table_column(cfg, rows, m) -> dict:
+def table_column(cfg, table, m) -> dict:
+    """Column m of a packed transfer table as {target slot: weight}: block
+    A holds f0 at slot 0 and (j2, p) at slot p, block B (k, p) at slot
+    p - 1; an empty component is all zero."""
+    slots = [None] + [(table.j2, p) for p in range(1, table.a_len(m))]
+    counts = [table.a_len(m)]
+    if table.bn is not None:
+        slots += [(table.k, p) for p in range(1, table.n + 1)]
+        counts.append(table.n)
+    comps = []
+    for comp in table.cols:
+        comps.append([x for block, count in zip(comp, counts) for x in unpack(block[m], table.w, count)]
+                     if comp else [0] * len(slots))
     out = {}
-    for slot, _lo, den, comps in rows:
-        w = Scalar(cfg.field, tuple(Fraction(c[m], den) for c in comps))
+    for slot, *nums in zip(slots, *comps):
+        w = Scalar(cfg.field, tuple(Fraction(x, table.den) for x in nums))
         if not w.is_zero():
             out[slot] = w
     return out
@@ -51,9 +65,9 @@ def test_columns_match_rewrite_rule(cfg):
             if j2 == j:
                 continue
             for k, n in SOURCES:
-                rows = cfg.transfer(j, j2, k, n, 8)
+                table = cfg.transfer(j, j2, k, n, 8)
                 for m in range(8):
-                    assert table_column(cfg, rows, m) == reduced_column(cfg, j, j2, k, n, m), (
+                    assert table_column(cfg, table, m) == reduced_column(cfg, j, j2, k, n, m), (
                         j, j2, k, n, m)
 
 

@@ -1,10 +1,11 @@
 """Digests of benchmark results: kummer-qi norms, Hensel roots,
-prime-point valuations or Weierstrass divisions, ring-ops oracle expansions
-and cartan factors.
+prime-point valuations or Weierstrass divisions, ring-ops results and
+oracle expansions, and cartan factors.
 
     python3 tools/norm_digest.py --seeds 1 2 3
     python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
     python3 tools/norm_digest.py --kind bivar --seeds 1 2 3
+    python3 tools/norm_digest.py --kind ring --seeds 1 2 3
     python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
     python3 tools/norm_digest.py --kind cartan --seeds 1 2 3
 
@@ -25,6 +26,10 @@ stream and the SHA-256 of the result's exact data:
   with no cached valuations, in the order first made, each read through
   ``BivarSeries.terms()`` (precision and nonzero coefficients), so the
   digest does not depend on how a series is stored;
+* ``ring``, ring-ops mul, add, roundtrip and split requests: the exact
+  result (chart, precision and series data of f g, f + g, the pair
+  (f1, f2) of a split), and for a roundtrip both f rebased to the target
+  chart and the result of rebasing it back;
 * ``oracle``, ring-ops mul and oracle requests (f, g): the denominator and
   sorted data of the expansions of f and of g in f's chart (the
   benchmark's ``OracleCache``) and of their ``OracleSeries`` product;
@@ -36,9 +41,9 @@ stream and the SHA-256 of the result's exact data:
 
 Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``hensel_root``,
-``prime_point_valuation``, ``weierstrass_div``, ``oracle_of_element``,
-``OracleSeries``, ``cartan_factor`` or ``gl_factor`` (or the series product
-under them) is checked by running this script in both and comparing the
+``prime_point_valuation``, ``weierstrass_div``, ``ae_dot``, ``rebase``,
+``split``, ``oracle_of_element``, ``OracleSeries``, ``cartan_factor`` or
+``gl_factor`` (or the series product under them) is checked by running this script in both and comparing the
 outputs.  The script is part of the checkout, so when it changes, copy the
 newer version into the other checkout before comparing: two versions digest
 different data and never agree.
@@ -116,6 +121,16 @@ def bivar_data(ctx, kind, inp) -> list:
     return seen
 
 
+def ring_data(ctx, kind, inp) -> list:
+    out = kind.compute(ctx, inp)
+    if kind.name == "roundtrip":
+        f, j = inp
+        return [element_data(f.rebase(j)), element_data(out)]
+    if kind.name == "split":
+        return [element_data(x) for x in out]
+    return element_data(out)
+
+
 def oracle_data(ctx, kind, inp) -> list:
     f, g = inp
     cache = ctx["oracle"]
@@ -146,6 +161,7 @@ KINDS = {
     "hensel": ("kummer-qi", {"hensel"}, hensel_data),
     "valuation": ("kummer-qi", {"norm-law", "certificate"}, valuation_data),
     "bivar": ("kummer-qi", {"certificate"}, bivar_data),
+    "ring": ("ring-ops", {"mul", "add", "roundtrip", "split"}, ring_data),
     "oracle": ("ring-ops", {"mul", "oracle"}, oracle_data),
     "cartan": ("cartan", {"factor", "gl"}, cartan_data),
 }
