@@ -350,7 +350,8 @@ class _TransferTable:
 
 
 # ---------------------------------------------------------------------------
-# series accumulator (the product kernel, polynomial embeddings, prime points)
+# series accumulator and lazy streams (the product kernel, polynomial
+# embeddings, the Cartan lift, prime points)
 # ---------------------------------------------------------------------------
 
 
@@ -417,6 +418,24 @@ class _SeriesAcc:
 
     def result(self) -> TruncSeries:
         return TruncSeries(self.field, self.prec, self.den, self._c)
+
+
+class _Stream:
+    """A series whose coefficients are computed on demand, in order, and
+    kept.  The coefficient function may read the stream's own lower
+    coefficients."""
+
+    __slots__ = ("_coeff", "_memo")
+
+    def __init__(self, coeff):
+        self._coeff = coeff
+        self._memo = []
+
+    def __getitem__(self, d: int):
+        memo = self._memo
+        while len(memo) <= d:
+            memo.append(self._coeff(len(memo)))
+        return memo[d]
 
 
 # ---------------------------------------------------------------------------
@@ -1156,10 +1175,11 @@ class PrimePoint:
     The substitution sends z_j to lambda + eps and, for other indices k in
     the ring support, z_k to (lambda+eps)/(1 + (c_j - c_k)(lambda+eps));
     construction fails if any of those denominators is a non-unit.  The
-    images of the powers z_k^n are cached per eps budget as they are asked
-    for, so repeated valuations at one point substitute without products of
-    eps-polynomials; a valuation expands only up to the first eps-degree
-    that survives (``prime_point_valuation``).
+    image of each power z_k^n is a lazy stream of eps-coefficients, kept on
+    the point and extended only as far as a valuation asks, so a valuation
+    of value v computes no image coefficient above eps-degree v and a
+    repeated one computes none (``prime_point_valuation``).  Every image
+    coefficient has lambda's precision.
     """
 
     __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst")
@@ -1189,64 +1209,51 @@ class PrimePoint:
     def __repr__(self) -> str:
         return f"PrimePoint({self.label}: z{self.chart} - lambda, support={sorted(self.ring_support)})"
 
-    def _image(self, k: int, n: int, budget: int) -> "_EpsPoly":
-        """The image of z_k^n, eps-truncated at ``budget``: image(k, n - 1)
-        times image(k, 1) for n > 1."""
-        key = (k, n, budget)
-        hit = self._subst.get(key)
-        if hit is not None:
-            return hit
-        if n > 1:
-            base = self._image(k, 1, budget)
-            m = n - 1
-            while (k, m, budget) not in self._subst:
-                m -= 1
-            out = self._subst[(k, m, budget)]
-            for e in range(m + 1, n + 1):
-                out = self._subst[(k, e, budget)] = out * base
-            return out
-        cfg = self.cfg
-        prec = self.lam.prec
-        one = cfg.one_series(prec)
-        if k == self.chart:
-            out = _EpsPoly([self.lam, one], budget)
-        else:
-            # (lambda + eps)/(D + d eps) with D = 1 + d lambda: eps^0 has
-            # lambda D^-1, eps^m has (-d)^(m-1) D^-(m+1) for m >= 1
-            d = cfg.centers[self.chart] - cfg.centers[k]
-            dinv = (one + self.lam.scale(d)).invert_unit()
-            ratio = dinv.scale(-d)
-            coeffs = [self.lam * dinv, dinv * dinv]
-            while len(coeffs) < budget:
-                coeffs.append(coeffs[-1] * ratio)
-            out = _EpsPoly(coeffs, budget)
-        self._subst[key] = out
+    def _image(self, k: int, n: int) -> _Stream:
+        """The eps-coefficients of the image of z_k^n, keyed (k, n)."""
+        out = self._subst.get((k, n))
+        if out is None:
+            out = self._subst[(k, n)] = self._power(k, n) if n > 1 else self._generator(k)
         return out
 
+    def _generator(self, k: int) -> _Stream:
+        prec = self.lam.prec
+        one = self.cfg.one_series(prec)
+        if k == self.chart:
+            head = (self.lam, one)
+            zero = TruncSeries.zero(self.cfg.field, prec)
+            return _Stream(lambda m: head[m] if m < 2 else zero)
+        # (lambda + eps)/(D + d eps) with D = 1 + d lambda: eps^0 has
+        # lambda D^-1, eps^1 has D^-2, and each later degree is the one
+        # before times -d D^-1
+        d = self.cfg.centers[self.chart] - self.cfg.centers[k]
+        dinv = (one + self.lam.scale(d)).invert_unit()
+        ratio = dinv.scale(-d)
 
-class _EpsPoly:
-    """Truncated polynomial in the deformation parameter over K[[t]]/t^N."""
+        def coeff(m: int) -> TruncSeries:
+            if m == 0:
+                return self.lam * dinv
+            if m == 1:
+                return dinv * dinv
+            return out[m - 1] * ratio
 
-    __slots__ = ("coeffs", "budget")
+        out = _Stream(coeff)
+        return out
 
-    def __init__(self, coeffs: list, budget: int):
-        self.budget = budget
-        self.coeffs = list(coeffs[:budget])
+    def _power(self, k: int, n: int) -> _Stream:
+        """Degree m of z_k^n is sum_{p <= m} z_k^(n-1)[p] z_k[m-p]."""
+        low, base = self._image(k, n - 1), self._image(k, 1)
+        field, prec = self.cfg.field, self.lam.prec
 
-    def __mul__(self, other: "_EpsPoly") -> "_EpsPoly":
-        c = self.coeffs[0]
-        field, prec = c.field, c.prec
-        lim = min(self.budget, len(self.coeffs) + len(other.coeffs) - 1)
-        out = [_SeriesAcc(field, prec) for _ in range(lim)]
-        right = [(b, terms(b._c)) for b in other.coeffs[:lim]]
-        for i, a in enumerate(self.coeffs[:lim]):
-            if a.is_zero():
-                continue
-            ta = terms(a._c)
-            for j, (b, tb) in enumerate(right[: lim - i]):
-                if not b.is_zero():
-                    out[i + j].add_product(a, b, ta, tb)
-        return _EpsPoly([o.result() for o in out], self.budget)
+        def coeff(m: int) -> TruncSeries:
+            acc = _SeriesAcc(field, prec)
+            for p in range(m + 1):
+                a, b = low[p], base[m - p]
+                if not (a.is_zero() or b.is_zero()):
+                    acc.add_product(a, b)
+            return acc.result()
+
+        return _Stream(coeff)
 
 
 def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",
@@ -1301,16 +1308,18 @@ def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",
     return pt, LocalizedElement(body, 0)
 
 
-def prime_point_valuation(x, pt: PrimePoint, budget: Optional[int] = None) -> int:
+def prime_point_valuation(x, pt: PrimePoint) -> int:
     """Order of vanishing of x along z_j = lambda.
 
     Accepts analytic or localized elements supported inside the prime's
     ring; t-power shifts contribute nothing (t stays a unit at the point).
     Substituting the point writes x as a polynomial in eps; its eps-degrees
-    are summed one at a time, each in one accumulator fed by every term's
-    image coefficient times the term's series, and the first degree that
-    survives is returned without expanding the higher ones.  Every degree
-    is taken at the lowest precision of f0 and of the image coefficients.
+    d = 0, 1, ... below x's precision are summed one at a time, each in one
+    accumulator fed by every term's image coefficient of degree d times the
+    term's series, and the first degree that survives is returned.  The
+    images extend only to that degree.  Every degree is taken at the lower
+    of f0's precision and lambda's, the precision of every image
+    coefficient (f0's alone when x has no z-term).
     """
     x = LocalizedElement.of(x)
     if x.is_zero():
@@ -1321,17 +1330,17 @@ def prime_point_valuation(x, pt: PrimePoint, budget: Optional[int] = None) -> in
             f"element supported on {sorted(body.support())} but the prime only "
             f"substitutes {sorted(pt.ring_support)}"
         )
-    B = budget or body.precision
-    images = [(pt._image(k, n, B).coeffs, s, terms(s._c)) for k, n, s in body.terms()]
-    prec = min([body.f0.prec] + [c.prec for coeffs, _s, _ts in images for c in coeffs])
+    images = [(pt._image(k, n), s, terms(s._c)) for k, n, s in body.terms()]
+    prec = min(body.f0.prec, pt.lam.prec) if images else body.f0.prec
     field = body.cfg.field
-    for d in range(max([1] + [len(coeffs) for coeffs, _s, _ts in images])):
+    for d in range(body.precision):
         acc = _SeriesAcc(field, prec)
         if d == 0:
             acc.add_scaled(body.f0, Scalar.one(field))
-        for coeffs, s, ts in images:
-            if d < len(coeffs):
-                acc.add_product(coeffs[d], s, None, ts)
+        for img, s, ts in images:
+            c = img[d]
+            if not c.is_zero():
+                acc.add_product(c, s, None, ts)
         if not acc.is_zero():
             return d
     raise ValueError(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .analytic import Configuration
+from .kummer import ScenarioError, check_scenario
 from .scalars import FieldDescriptor, FieldError
 from .suites import SUITE_NAMES, run_suites
 
@@ -23,6 +24,7 @@ __all__ = ["ConfigError", "RunConfig", "run", "main"]
 
 SCHEMA_VERSION = 1
 PROFILE_LINES = 30  # functions listed by --profile
+SCENARIO_DEFAULTS = {"i": 2, "j": 1, "k": 3, "q": 2, "qprime": 2}
 
 
 class ConfigError(ValueError):
@@ -48,13 +50,7 @@ class RunConfig:
             self.centers = ["0", "1", "2"]
         if self.scenario is None:
             self.scenario = {}
-        self.scenario = {
-            "i": self.scenario.get("i", 2),
-            "j": self.scenario.get("j", 1),
-            "k": self.scenario.get("k", 3),
-            "q": self.scenario.get("q", 2),
-            "qprime": self.scenario.get("qprime", 2),
-        }
+        self.scenario = {**SCENARIO_DEFAULTS, **self.scenario}
         if not self.suites:
             self.suites = ["all"]
 
@@ -89,14 +85,13 @@ class RunConfig:
         for n in names:
             if n not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {n!r} (have {', '.join(SUITE_NAMES)})")
-        sc = self.scenario
-        for key in ("i", "j"):
-            if sc[key] not in cfg.indices:
-                raise ConfigError(f"scenario index {key}={sc[key]} outside the center list")
-        if sc["i"] == sc["j"]:
-            raise ConfigError("scenario indices i and j must differ")
-        if sc["k"] < 2:
-            raise ConfigError("scenario exponent k must be >= 2")
+        extra = set(self.scenario) - set(SCENARIO_DEFAULTS)
+        if extra:
+            raise ConfigError(f"unknown scenario keys: {sorted(extra)}")
+        try:
+            check_scenario(cfg, **self.scenario)
+        except ScenarioError as exc:
+            raise ConfigError(f"bad scenario: {exc}") from exc
         return cfg, names
 
     def echo(self) -> dict:

@@ -49,6 +49,7 @@ __all__ = [
     "hensel_root",
     "Scenario",
     "build_scenario",
+    "check_scenario",
     "lift_configuration",
     "norm_law_samples",
     "KummerExtension",
@@ -177,14 +178,12 @@ class Scenario:
         }
 
 
-def build_scenario(cfg: Configuration, i: int, j: int, k: int, q: int, qprime: int) -> Scenario:
-    """Construct and cross-validate the scenario elements.
-
-    Rejects center configurations that break the construction (i = j,
-    c_j = -c_i) and degrees beyond the supported symbol algebras.  The
-    chart-j presentations of a and b are verified against their definitions
-    as X,Y-fractions before the scenario is handed out.
-    """
+def check_scenario(cfg: Configuration, i: int, j: int, k: int, q: int, qprime: int) -> None:
+    """Raise ScenarioError unless the parameters give a scenario over cfg:
+    integers, two distinct configured indices with c_j != -c_i, an exponent
+    2 <= k < precision and supported degrees q, q' and q*q'."""
+    if not all(type(v) is int for v in (i, j, k, q, qprime)):
+        raise ScenarioError("scenario parameters i, j, k, q, qprime must be integers")
     if i == j or i not in cfg.indices or j not in cfg.indices:
         raise ScenarioError("need two distinct configured indices")
     if k < 2:
@@ -193,13 +192,22 @@ def build_scenario(cfg: Configuration, i: int, j: int, k: int, q: int, qprime: i
         raise ScenarioError(f"degrees limited to {_SUPPORTED_DEGREES}")
     if q * qprime not in _SUPPORTED_DEGREES:
         raise ScenarioError("combined degree q*q' beyond the supported symbol algebras")
-    ci, cj = cfg.centers[i], cfg.centers[j]
-    if (cj + ci).is_zero():
+    if (cfg.centers[j] + cfg.centers[i]).is_zero():
         raise ScenarioError("centers with c_j = -c_i break the leading unit of r")
-    N = cfg.precision
-    if N <= k:
+    if cfg.precision <= k:
         raise ScenarioError("precision too small to see the t^{k-1} terms")
 
+
+def build_scenario(cfg: Configuration, i: int, j: int, k: int, q: int, qprime: int) -> Scenario:
+    """Construct and cross-validate the scenario elements.
+
+    Rejects the parameters ``check_scenario`` rejects.  The chart-j
+    presentations of a and b are verified against their definitions as
+    X,Y-fractions before the scenario is handed out.
+    """
+    check_scenario(cfg, i, j, k, q, qprime)
+    ci, cj = cfg.centers[i], cfg.centers[j]
+    N = cfg.precision
     two_ci = ci + ci
     a_el = AnalyticElement.from_terms(cfg, i, 1, {(i, k): cfg.t_series(k - 1)})
     b_el = AnalyticElement.from_terms(

@@ -44,6 +44,7 @@ from .analytic import (
     Configuration,
     LocalizedElement,
     UnitNotRecognized,
+    _Stream,
     ae_dot,
     membership,
     unit_invert,
@@ -302,24 +303,6 @@ def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
 # A coefficient matrix is a tuple of rows of coefficients.  None is zero,
 # both for a coefficient and for a coefficient matrix.
 # ---------------------------------------------------------------------------
-
-
-class _Stream:
-    """A matrix series in t whose coefficients are computed on demand, in
-    order, and kept.  The coefficient function may read the stream's own
-    lower coefficients."""
-
-    __slots__ = ("_coeff", "_memo")
-
-    def __init__(self, coeff):
-        self._coeff = coeff
-        self._memo = []
-
-    def __getitem__(self, d: int):
-        memo = self._memo
-        while len(memo) <= d:
-            memo.append(self._coeff(len(memo)))
-        return memo[d]
 
 
 def _normal(den: int, comps) -> Optional[tuple]:

@@ -49,10 +49,16 @@ def test_bad_precision_rejected():
 
 
 def test_bad_scenario_rejected():
-    with pytest.raises(ConfigError):
-        run(RunConfig(scenario={"i": 1, "j": 1}, suites=["certificate"]))
-    with pytest.raises(ConfigError):
-        run(RunConfig(scenario={"i": 7}, suites=["certificate"]))
+    for scenario in (
+        {"i": 1, "j": 1},
+        {"i": 7},
+        {"q": 3},  # no symbol algebra of degree 3
+        {"k": 20},  # the t^(k-1) terms lie past precision 16
+        {"k": "3"},
+        {"qprme": 4},  # misspelt key
+    ):
+        with pytest.raises(ConfigError):
+            run(RunConfig(scenario=scenario, suites=["certificate"]))
 
 
 def test_unknown_config_key_rejected():

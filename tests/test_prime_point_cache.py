@@ -1,12 +1,14 @@
-"""The cache of substitution images on a ``PrimePoint``.
+"""The lazy substitution images on a ``PrimePoint``.
 
 ``prime_point_valuation`` reads the image of every z_k^n from the point,
-keyed by (k, n, eps budget).  A point that has served many elements at
-several budgets must give the values a fresh point gives, a repeated
-valuation must make no product of eps-polynomials, and a valuation of
-value v at a warm point must expand no eps-degree above v.  Over Q(i) with
-two to five centers and N up to 32, the closed-form image of z_k times its
-denominator D + d eps is lambda + eps within the eps budget.
+one stream of eps-coefficients per (k, n), each coefficient computed when a
+valuation first asks for it.  A point that has served many elements must
+give the values a fresh point gives, a repeated valuation must compute no
+new coefficient, and a cold valuation of value v must compute no
+coefficient above eps-degree v.  Every computed coefficient has lambda's
+precision.  Over Q(i) with two to five centers and N up to 32, the image
+of z_k times its denominator D + d eps is lambda + eps, and one cold
+valuation at N = 32 makes a handful of series products.
 """
 
 import random
@@ -18,7 +20,6 @@ from patchalg.analytic import (
     AnalyticElement,
     Configuration,
     PrimePoint,
-    _EpsPoly,
     _SeriesAcc,
     prime_point_valuation,
     random_element,
@@ -26,154 +27,164 @@ from patchalg.analytic import (
 from patchalg.kummer import build_scenario
 from patchalg.scalars import Scalar, cyclotomic_field
 from patchalg.series import TruncSeries
+from test_prime_point_props import eps_mul
 from test_rebase_props import QI, configurations
 
 CFG = Configuration(cyclotomic_field(4), [0, 1, 2], 8)
 SC = build_scenario(CFG, 2, 1, 3, 2, 2)
 WARM = SC.pt_r
-BUDGETS = (3, None)  # the small one first, so a cache blind to the budget shows
 
 
-def fresh_point() -> PrimePoint:
-    return PrimePoint(CFG, WARM.chart, WARM.lam, WARM.label, WARM.ring_support)
+def fresh(pt: PrimePoint) -> PrimePoint:
+    return PrimePoint(pt.cfg, pt.chart, pt.lam, pt.label, pt.ring_support)
 
 
-def valuation(x, pt, budget):
+def valuation(x, pt):
     try:
-        return prime_point_valuation(x, pt, budget)
-    except ValueError as exc:  # order past the budget
+        return prime_point_valuation(x, pt)
+    except ValueError as exc:  # order past the precision
         return str(exc)
+
+
+def computed(pt: PrimePoint) -> dict:
+    """(k, n) -> the image coefficients computed so far."""
+    return {key: list(img._memo) for key, img in pt._subst.items()}
+
+
+def assert_matches_a_fresh_point(pt: PrimePoint) -> None:
+    """Every coefficient pt has computed is the one a fresh point computes,
+    at lambda's precision."""
+    other = fresh(pt)
+    for (k, n), coeffs in computed(pt).items():
+        assert coeffs == [other._image(k, n)[d] for d in range(len(coeffs))]
+        assert all(c.prec == pt.lam.prec for c in coeffs)
+
+
+def ring_element(rng, max_zdeg=4):
+    return random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support),
+                          max_zdeg=max_zdeg)
 
 
 @st.composite
 def ring_elements(draw):
     """A random element of z-degree up to 4 in the point's ring, times r^w
-    (w up to 3, so that some orders reach the small budget)."""
+    (w up to 3, so that some images are asked for past degree 0)."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support),
-                       max_zdeg=draw(st.integers(1, 4)))
+    x = ring_element(rng, draw(st.integers(1, 4)))
     return x * SC.r ** draw(st.integers(0, 3))
 
 
 @settings(max_examples=40)
 @given(ring_elements())
 def test_warm_point_agrees_with_a_fresh_point(x):
-    for budget in BUDGETS:
-        assert valuation(x, WARM, budget) == valuation(x, fresh_point(), budget)
+    assert valuation(x, WARM) == valuation(x, fresh(WARM))
 
 
 def test_cached_images_match_fresh_ones():
-    """Every cached image, at either budget, is the one a fresh point builds;
-    images hit only past the small budget need the budget in the key."""
+    """A point that has served many elements holds the coefficients a fresh
+    point computes."""
     rng = random.Random(5)
-    pt = fresh_point()
-    for _ in range(4):
-        x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support), max_zdeg=4)
-        for budget in BUDGETS:
-            valuation(x, pt, budget)
-    assert {budget for _k, _n, budget in pt._subst} == {3, CFG.precision}
-    for (k, n, budget), img in pt._subst.items():
-        want = fresh_point()._image(k, n, budget)
-        assert (img.budget, img.coeffs) == (want.budget, want.coeffs)
-
-
-def test_repeated_valuation_makes_no_eps_product(monkeypatch):
-    rng = random.Random(3)
-    x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support), max_zdeg=4)
-    assert x.zdegree() == 4
-    pt = fresh_point()
-    calls = []
-    real = _EpsPoly.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(_EpsPoly, "__mul__", counted)
-    first = [valuation(x, pt, b) for b in BUDGETS]
-    cold = len(calls)
-    again = [valuation(x, pt, b) for b in BUDGETS]
-    monkeypatch.undo()
-    assert cold > 0
-    assert again == first
-    assert len(calls) == cold
-
-
-def test_valuation_stops_at_the_first_surviving_degree(monkeypatch):
-    """x r^w has valuation w at the point; at a warm point every series
-    product the valuation makes is an image coefficient of eps-degree at
-    most w times a term of x r^w."""
-    rng = random.Random(8)
-    pt = fresh_point()
-    degree_of = {}
+    pt = fresh(WARM)
     for w in range(4):
-        x = random_element(CFG, rng, chart=SC.j, support=sorted(WARM.ring_support), max_zdeg=4)
-        x = x * SC.r ** w
-        prime_point_valuation(x, pt)  # warm
-        for (_k, _n, budget), img in pt._subst.items():
-            if budget == CFG.precision:
-                degree_of.update({id(c): d for d, c in enumerate(img.coeffs)})
-        degrees = []
-        real = _SeriesAcc.add_product
-
-        def counted(self, a, *rest):
-            degrees.append(degree_of[id(a)])
-            return real(self, a, *rest)
-
-        monkeypatch.setattr(_SeriesAcc, "add_product", counted)
-        v = prime_point_valuation(x, pt)
-        monkeypatch.undo()
-        assert v == w
-        assert max(degrees) == w
+        valuation(ring_element(rng) * SC.r ** w, pt)
+    assert_matches_a_fresh_point(pt)
 
 
-@st.composite
-def points_over_qi(draw):
-    """(point, element of its ring with every z_k of the ring, budgets):
-    Q(i), N up to 32, lambda with three random Gaussian-integer
-    coefficients."""
-    cfg = draw(configurations(max_prec=32).filter(lambda c: c.field == QI))
-    rng = random.Random(draw(st.integers(0, 2**32)))
+def test_repeated_valuation_makes_no_eps_product():
+    """A repeated valuation computes no new image coefficient."""
+    rng = random.Random(3)
+    x = ring_element(rng) * SC.r ** 2
+    assert x.zdegree() >= 4
+    pt = fresh(WARM)
+    first = valuation(x, pt)
+    cold = computed(pt)
+    assert valuation(x, pt) == first
+    assert computed(pt) == cold
+
+
+def test_valuation_stops_at_the_first_surviving_degree():
+    """x r^w has valuation w at the point; at a fresh point the valuation
+    computes every image stream it reads up to eps-degree w, and no
+    further."""
+    rng = random.Random(8)
+    for w in range(4):
+        x = ring_element(rng) * SC.r ** w
+        pt = fresh(WARM)
+        assert prime_point_valuation(x, pt) == w
+        assert {len(coeffs) for coeffs in computed(pt).values()} == {w + 1}
+
+
+def point_and_element(cfg, rng, zdeg):
+    """A point z_j = lambda with three random Gaussian-integer coefficients
+    and an element of its ring with every z_k^zdeg of the ring."""
     j = rng.choice(list(cfg.indices))
     vals = [Scalar.of(QI, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
     lam = cfg.series(vals + [0] * (cfg.precision - 3))
     support = [k for k in cfg.indices
                if k == j or not (Scalar.one(QI) + (cfg.centers[j] - cfg.centers[k]) * vals[0]).is_zero()]
     pt = PrimePoint(cfg, j, lam, ring_support=support)
-    zdeg = draw(st.integers(1, 2))
     x = random_element(cfg, rng, chart=j, support=support, max_zdeg=zdeg, tdeg=4)
     x = x + AnalyticElement(cfg, j, cfg.zero_series(), {(k, zdeg): cfg.one_series() for k in support})
-    return pt, x, (draw(st.integers(1, cfg.precision)), cfg.precision)
+    return pt, x
+
+
+@st.composite
+def points_over_qi(draw):
+    """(point, element of its ring, eps-degree bound): Q(i), N up to 32
+    (24 and 32 drawn often), z-degree 1 or 2."""
+    cfg = draw(configurations(max_prec=32, at_top=True).filter(lambda c: c.field == QI))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pt, x = point_and_element(cfg, rng, draw(st.integers(1, 2)))
+    return pt, x, draw(st.integers(1, cfg.precision))
 
 
 @settings(max_examples=10, deadline=None)
 @given(points_over_qi())
 def test_closed_form_images_times_their_denominator(case):
-    pt, _x, budgets = case
+    pt, _x, bound = case
     cfg, prec = pt.cfg, pt.lam.prec
     one = cfg.one_series(prec)
-    for budget in budgets:
-        want = [pt.lam, one] + [TruncSeries.zero(cfg.field, prec)] * (budget - 2)
-        for k in sorted(pt.ring_support):
-            img = pt._image(k, 1, budget)
-            if k == pt.chart:
-                assert img.coeffs == want[:min(2, budget)]
-                continue
-            assert len(img.coeffs) == budget
-            d = cfg.centers[pt.chart] - cfg.centers[k]
-            denom = _EpsPoly([one + pt.lam.scale(d), TruncSeries.constant(cfg.field, d, prec)], budget)
-            assert (img * denom).coeffs == want[:budget]
+    want = [pt.lam, one] + [TruncSeries.zero(cfg.field, prec)] * (bound - 2)
+    for k in sorted(pt.ring_support):
+        img = [pt._image(k, 1)[d] for d in range(bound)]
+        if k == pt.chart:
+            assert img == want[:bound]
+            continue
+        d = cfg.centers[pt.chart] - cfg.centers[k]
+        denom = [one + pt.lam.scale(d), TruncSeries.constant(cfg.field, d, prec)]
+        assert eps_mul(img, denom, bound) == want[:bound]
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(points_over_qi())
 def test_cached_images_match_fresh_ones_up_to_n_32(case):
-    pt, x, budgets = case
-    fresh = PrimePoint(pt.cfg, pt.chart, pt.lam, pt.label, pt.ring_support)
-    for budget in budgets:
-        valuation(x, pt, budget)
-        valuation(x, pt, budget)
-    assert {k for k, _n, _b in pt._subst} == pt.ring_support
-    for (k, n, budget), img in pt._subst.items():
-        want = fresh._image(k, n, budget)
-        assert (img.budget, img.coeffs) == (want.budget, want.coeffs)
+    pt, x, _bound = case
+    v = valuation(x, pt)
+    assert valuation(x, pt) == v
+    assert {k for k, _n in pt._subst} == pt.ring_support
+    assert_matches_a_fresh_point(pt)
+
+
+COLD_PRODUCTS = 16  # at most; 12-13 on the five seeds below
+
+
+def test_one_cold_valuation_at_n_32_makes_few_products(monkeypatch):
+    """One cold valuation of a z-degree 2 element over Q(i), N = 32, five
+    centers: one series product per term at eps-degree 0 and one per
+    square's first image coefficient, not the whole eps-expansion of every
+    image (over 2,000 products)."""
+    cfg = Configuration(QI, [Scalar.of(QI, a, b) for a, b in ((0, 0), (1, 0), (0, 1), (2, 1), (-1, 3))], 32)
+    cases = [point_and_element(cfg, random.Random(seed), 2) for seed in range(5)]
+    calls = []
+    real = _SeriesAcc.add_product
+
+    def counted(self, *args):
+        calls[-1] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(_SeriesAcc, "add_product", counted)
+    for pt, x in cases:
+        calls.append(0)
+        valuation(x, pt)
+    monkeypatch.undo()
+    assert all(0 < c <= COLD_PRODUCTS for c in calls), calls
