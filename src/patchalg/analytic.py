@@ -816,6 +816,18 @@ def ae_dot(pairs) -> AnalyticElement:
     return AnalyticElement(cfg, chart, acc0.result(), zc)
 
 
+def localized_dot(pairs) -> "LocalizedElement":
+    """Sum of products x*y of localized elements as one ``ae_dot``, each x
+    shifted up to the smallest t-shift s = min(x.tshift + y.tshift).  Zero
+    factors add no term but are kept: ``ae_dot``'s window is the minimum over
+    all pairs, so the sum claims the precision it has written with ``*``
+    and ``+``."""
+    s = min(x.tshift + y.tshift for x, y in pairs)
+    return LocalizedElement(
+        ae_dot([(x.body.shift_t(x.tshift + y.tshift - s), y.body) for x, y in pairs]), s
+    )
+
+
 def z_generator(cfg: Configuration, k: int, chart: int = 0, prec: Optional[int] = None) -> AnalyticElement:
     """The generator z_k as a canonical form (chart-independent data)."""
     if k not in cfg.indices:

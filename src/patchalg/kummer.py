@@ -35,7 +35,7 @@ from .analytic import (
     LocalizedElement,
     PrimePoint,
     SupportError,
-    ae_dot,
+    localized_dot,
     prime_point_valuation,
     unit_invert,
     weierstrass_prepare_linear,
@@ -386,8 +386,8 @@ class KummerElement:
         return self + (-other)
 
     def __mul__(self, other: "KummerElement") -> "KummerElement":
-        """The product: every ordered pair of nonzero coordinates, weight 1,
-        with one ``ae_dot`` per output coordinate (``_coordinate_products``)."""
+        """The product: every ordered pair of nonzero coordinates, weight 1, one
+        ``localized_dot`` per output coordinate (``_coordinate_products``)."""
         self._check(other)
         q = self.ext.degree
         one = self.ext.zeta_powers[0]
@@ -495,14 +495,13 @@ def _coordinate_products(ext: KummerExtension, left: tuple, right: tuple,
                          groups: list) -> KummerElement:
     """The element whose coordinate n is the sum over the entries (n1, n2, w)
     of groups[n] of w * left[n1] * right[n2], times the radicand when
-    n1 + n2 >= q, with one ``ae_dot`` per output coordinate.
+    n1 + n2 >= q, with one ``localized_dot`` per output coordinate.
 
     The entries of a coordinate are brought to the largest u2 power among
-    them and to the smallest t-shift: an entry that wraps past alpha^q has
-    its right factor times the radicand, an entry below the largest power
-    has its right factor times u2 to the difference, and an entry above the
-    smallest shift has its left body shifted up, as ``PatchMatrix.__mul__``
-    aligns t-shifts.  Each right factor is built once per product, keyed
+    them: an entry that wraps past alpha^q has its right factor times the
+    radicand, and an entry below the largest power has its right factor
+    times u2 to the difference; ``localized_dot`` aligns their t-shifts.
+    Each right factor is built once per product, keyed
     (n2, wraps, lift), and shared by every entry that uses it; an entry
     scales it by its weight w unless w is 1.
     """
@@ -531,9 +530,7 @@ def _coordinate_products(ext: KummerExtension, left: tuple, right: tuple,
                 g = _Coord(g).lifted(top - power, ext.u2)
                 built[key] = g
             factors.append((f, g if w.is_one() else g.scale(w)))
-        smin = min(f.tshift + g.tshift for f, g in factors)
-        pairs = [(f.body.shift_t(f.tshift + g.tshift - smin), g.body) for f, g in factors]
-        out.append(_Coord(LocalizedElement(ae_dot(pairs), smin), top))
+        out.append(_Coord(localized_dot(factors), top))
     return KummerElement(ext, tuple(out))
 
 

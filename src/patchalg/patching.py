@@ -1,5 +1,9 @@
 """Matrix factorization over the analytic rings.
 
+Every sum of localized products here, an entry of a matrix product, a
+minor or a determinant, is one ``localized_dot``, zero entries included,
+so a zero known only mod t^w bounds each sum it enters at t^w.
+
 `cartan_factor` splits a matrix a with v(a - 1) >= 1 into a product
 b1 * b2 of a factor supported away from one index i and a factor supported
 on it, by a t-adic lift.  Each t-coefficient of a - 1 is a z-polynomial,
@@ -45,7 +49,7 @@ from .analytic import (
     LocalizedElement,
     UnitNotRecognized,
     _Stream,
-    ae_dot,
+    localized_dot,
     membership,
     unit_invert,
 )
@@ -91,13 +95,6 @@ class PatchMatrix:
         return PatchMatrix([[one if i == j else zero for j in range(n)] for i in range(n)], chart)
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def entries(self) -> tuple:
-        return self.rows
-
-    def entry(self, i: int, j: int) -> LocalizedElement:
-        return self.rows[i][j]
 
     @property
     def precision(self) -> int:
@@ -162,30 +159,15 @@ class PatchMatrix:
         return PatchMatrix([[-x for x in row] for row in self.rows], self.chart)
 
     def __mul__(self, other: "PatchMatrix") -> "PatchMatrix":
+        """Each entry is one ``localized_dot`` over k, zero entries included,
+        so the window of an entry is the smallest of its n products'."""
         self._check(other)
         o = other.rebase(self.chart)
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                terms = [
-                    (self.rows[i][k], o.rows[k][j])
-                    for k in range(self.n)
-                    if not (self.rows[i][k].is_zero() or o.rows[k][j].is_zero())
-                ]
-                if not terms:
-                    row.append(
-                        LocalizedElement(AnalyticElement.zero(self.cfg, self.chart, self.precision), 0)
-                    )
-                    continue
-                smin = min(a.tshift + b.tshift for a, b in terms)
-                pairs = []
-                for a, b in terms:
-                    d = a.tshift + b.tshift - smin
-                    pairs.append((a.body.shift_t(d) if d else a.body, b.body))
-                row.append(LocalizedElement(ae_dot(pairs), smin))
-            out.append(row)
-        return PatchMatrix(out, self.chart)
+        r = range(self.n)
+        return PatchMatrix(
+            [[localized_dot([(row[k], o.rows[k][j]) for k in r]) for j in r] for row in self.rows],
+            self.chart,
+        )
 
     def scale(self, s) -> "PatchMatrix":
         return PatchMatrix([[x.scale(s) for x in row] for row in self.rows], self.chart)
@@ -197,59 +179,38 @@ class PatchMatrix:
         )
 
     def det(self) -> LocalizedElement:
-        """Exact determinant by cofactor expansion (desk-scale dimensions)."""
-        idx = list(range(self.n))
-        return self._det(idx, idx)
+        """Exact determinant (desk-scale dimensions), read off the
+        adjugate: ``det_by(adjugate())``."""
+        return self.det_by(self.adjugate())
 
     def _det(self, rows: list, cols: list) -> LocalizedElement:
+        """The minor on rows x cols, expanded along its first row: one
+        ``localized_dot``, the sign on the pivot and zero pivots kept."""
         if len(rows) == 1:
             return self.rows[rows[0]][cols[0]]
-        total = None
-        for pos, c in enumerate(cols):
-            pivot = self.rows[rows[0]][c]
-            if pivot.is_zero():
-                continue
-            sub = self._det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = pivot * sub
-            if pos % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            total = LocalizedElement(AnalyticElement.zero(self.cfg, self.chart, self.precision), 0)
-        return total
+        top = self.rows[rows[0]]
+        return localized_dot([
+            (-top[c] if pos % 2 else top[c], self._det(rows[1:], cols[:pos] + cols[pos + 1 :]))
+            for pos, c in enumerate(cols)
+        ])
 
     def det_by(self, adj: "PatchMatrix") -> LocalizedElement:
-        """The determinant read off the adjugate adj: the first row against
-        the cofactors adj[c][0], n products where the cofactor expansion
-        makes one per pivot at every level.  The terms and their order are
-        those of ``det``, so the result is the same."""
-        if self.n == 1:
-            return self.rows[0][0]
-        total = None
-        for c in range(self.n):
-            pivot = self.rows[0][c]
-            if pivot.is_zero():
-                continue
-            term = pivot * adj.rows[c][0]
-            total = term if total is None else total + term
-        if total is None:
-            total = LocalizedElement(AnalyticElement.zero(self.cfg, self.chart, self.precision), 0)
-        return total
+        """The determinant read off the adjugate adj: one ``localized_dot``
+        of the first row against the cofactors adj[c][0], zero entries kept,
+        so it claims no more precision than the sum with ``*`` and ``+``."""
+        return localized_dot([(self.rows[0][c], adj.rows[c][0]) for c in range(self.n)])
 
     def adjugate(self) -> "PatchMatrix":
-        idx = list(range(self.n))
-        out = [[None] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                rows = idx[:i] + idx[i + 1 :]
-                cols = idx[:j] + idx[j + 1 :]
-                m = self._det(rows, cols) if self.n > 1 else LocalizedElement(
-                    AnalyticElement.one(self.cfg, self.chart, self.precision), 0
-                )
-                if (i + j) % 2:
-                    m = -m
-                out[j][i] = m  # transpose of cofactors
-        return PatchMatrix(out, self.chart)
+        """The transpose of the cofactor matrix; the identity for n = 1."""
+        if self.n == 1:
+            return PatchMatrix.identity(self.cfg, 1, self.chart, self.precision)
+        idx = range(self.n)
+
+        def cofactor(i: int, j: int) -> LocalizedElement:
+            m = self._det([r for r in idx if r != i], [c for c in idx if c != j])
+            return -m if (i + j) % 2 else m
+
+        return PatchMatrix([[cofactor(j, i) for j in idx] for i in idx], self.chart)
 
     def invert_near_identity(self) -> "PatchMatrix":
         """Inverse when v(self - 1) >= 1: the alternating t-adic sum of powers

@@ -554,11 +554,11 @@ def suite_kummer(cfg: Configuration, scen: dict, seed: int, norm_samples: int = 
             ))
 
     def norm_law():
-        base = Configuration(cfg.field, cfg.centers, norm_precision)
+        base = Configuration(cfg.field, cfg.centers, max(norm_precision, scen["k"] + 1))
         sc = build_scenario(base, i, j, scen["k"], scen["q"], scen["qprime"])
         res = norm_law_samples(sc, norm_samples, random.Random(seed + 10))
         return not res["failures"], {"samples": res["samples"], "failures": res["failures"][:5],
-                                     "degree": sc.full_degree, "precision": norm_precision}
+                                     "degree": sc.full_degree, "precision": base.precision}
 
     out.append(_run_case("kummer", "galois-norm-law", norm_law, verbose))
 
@@ -649,7 +649,7 @@ def suite_kummer(cfg: Configuration, scen: dict, seed: int, norm_samples: int = 
     out.append(_run_case("kummer", "extension-arithmetic", kummer_arith, verbose))
 
     def grid_identity():
-        base = Configuration(cfg.field, cfg.centers, 10)
+        base = Configuration(cfg.field, cfg.centers, max(10, scen["k"] + 1))
         sc = build_scenario(base, i, j, scen["k"], scen["q"], scen["qprime"])
         res = grid_norm_identity(sc)
         return all(res.values()), res
@@ -658,12 +658,12 @@ def suite_kummer(cfg: Configuration, scen: dict, seed: int, norm_samples: int = 
 
     def quaternions():
         bad = []
-        base = Configuration(cfg.field, cfg.centers, 8)
+        base = Configuration(cfg.field, cfg.centers, max(8, scen["k"] + 1))
         sc = build_scenario(base, i, j, scen["k"], 2, 2)
         av = sc.a
         bv = sc.b.rebase(sc.a.chart)
-        one_e = AnalyticElement.one(base, sc.a.chart, 8)
-        zero_e = AnalyticElement.zero(base, sc.a.chart, 8)
+        one_e = AnalyticElement.one(base, sc.a.chart)
+        zero_e = AnalyticElement.zero(base, sc.a.chart)
         iq = (zero_e, one_e, zero_e, zero_e)
         jq = (zero_e, zero_e, one_e, zero_e)
         ij = quaternion_mul(iq, jq, av, bv)
@@ -740,7 +740,8 @@ def suite_certificate(cfg: Configuration, scen: dict, seed: int,
     def main_case():
         sc = build_scenario(cfg, scen["i"], scen["j"], scen["k"], scen["q"], scen["qprime"])
         cert = certify_division_algebra(
-            sc, tamper_b=tamper_b, norm_samples=8, seed=seed, norm_precision=min(12, cfg.precision)
+            sc, tamper_b=tamper_b, norm_samples=8, seed=seed,
+            norm_precision=max(min(12, cfg.precision), scen["k"] + 1),
         )
         return cert.verdict == "certified", cert.to_dict()
 
@@ -749,7 +750,8 @@ def suite_certificate(cfg: Configuration, scen: dict, seed: int,
     def negative_control():
         sc = build_scenario(cfg, scen["i"], scen["j"], scen["k"], scen["q"], scen["qprime"])
         cert = certify_division_algebra(
-            sc, tamper_b=True, norm_samples=2, seed=seed, norm_precision=min(10, cfg.precision)
+            sc, tamper_b=True, norm_samples=2, seed=seed,
+            norm_precision=max(min(10, cfg.precision), scen["k"] + 1),
         )
         return cert.verdict == "refuted", {
             "verdict": cert.verdict,

@@ -61,6 +61,13 @@ def test_bad_scenario_rejected():
             run(RunConfig(scenario=scenario, suites=["certificate"]))
 
 
+def test_scenario_exponent_near_precision_runs():
+    """k = 12 at N = 16 passes the scenario check, so every kummer and
+    certificate case raises its fixed precision to k + 1 and passes."""
+    report, code = run(RunConfig(scenario={"k": 12}, suites=["kummer", "certificate"]))
+    assert code == 0, [r["case"] for r in report["records"] if r["status"] != "pass"]
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         RunConfig.from_dict({"bogus": 1})

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from patchalg import analytic, patching
+from patchalg import analytic
 from patchalg.analytic import (
     AnalyticElement,
     Configuration,
@@ -16,6 +16,7 @@ from patchalg.analytic import (
 )
 from patchalg.patching import FactorizationError, PatchMatrix, cartan_factor, gl_factor
 from patchalg.scalars import QQ, Scalar, cyclotomic_field
+from test_localized_dot import scalar_det
 
 QI = cyclotomic_field(4)
 
@@ -204,16 +205,17 @@ def test_gl_3x3_at_n48_with_five_centers():
 def test_gl_reads_determinants_off_the_adjugate(monkeypatch):
     """B1 * diag(t, 1, 1) * B2, 3 x 3 over five centers: both determinants,
     of b and of the cut a0, are read off the adjugates the step builds,
-    three products each instead of the cofactor expansion's nine.  On this
-    input gl_factor makes 77 ``ae_dot`` calls (86 with the expansion; some
-    products of a0 are by an exact 1 and make none)."""
+    three products each instead of the cofactor expansion's nine.  Every
+    minor and determinant is one ``localized_dot``, so on this input
+    gl_factor makes 62 ``ae_dot`` calls (77 with one call per product of a
+    minor, 86 with the expansion for the determinants)."""
     cfg = Configuration(QQ, [0, 1, 2, 3, 4], 12)
     one, zero = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0)
     i = 2
     B1, B2 = _one_sided_factors(cfg, 3, i, random.Random(5), max_zdeg=1)
     D = PatchMatrix([[t_element(cfg, 0), zero, zero], [zero, one, zero], [zero, zero, one]], 0)
     B = B1 * D * B2
-    assert B.det_by(B.adjugate()).equals(B.det())
+    assert B.det().equals(scalar_det([list(row) for row in B.rows]))
     calls = []
     real = analytic.ae_dot
 
@@ -222,10 +224,9 @@ def test_gl_reads_determinants_off_the_adjugate(monkeypatch):
         return real(pairs)
 
     monkeypatch.setattr(analytic, "ae_dot", counted)
-    monkeypatch.setattr(patching, "ae_dot", counted)
     res = gl_factor(B, i)
     monkeypatch.undo()
-    assert len(calls) <= 77
+    assert len(calls) <= 62
     assert res.notes == {"cleared_shift": 0, "det_order": 1, "cut_det_order": 2, "rounds": 4}
     assert (res.b1 * res.b2).equals(B)
 
