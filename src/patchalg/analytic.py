@@ -817,14 +817,17 @@ def ae_dot(pairs) -> AnalyticElement:
 
 
 def localized_dot(pairs) -> "LocalizedElement":
-    """Sum of products x*y of localized elements as one ``ae_dot``, each x
-    shifted up to the smallest t-shift s = min(x.tshift + y.tshift).  Zero
-    factors add no term but are kept: ``ae_dot``'s window is the minimum over
-    all pairs, so the sum claims the precision it has written with ``*``
-    and ``+``."""
+    """Sum of products x*y of localized elements as one ``ae_dot`` over the
+    first x's chart, every factor rebased to it as a localized element and
+    each x shifted up to the smallest t-shift s = min(x.tshift + y.tshift).
+    Zero factors add no term but are kept: ``ae_dot``'s window is the
+    minimum over all pairs, so the sum claims the precision it has written
+    with ``*`` and ``+``."""
+    c = pairs[0][0].chart
     s = min(x.tshift + y.tshift for x, y in pairs)
     return LocalizedElement(
-        ae_dot([(x.body.shift_t(x.tshift + y.tshift - s), y.body) for x, y in pairs]), s
+        ae_dot([(x.rebase(c).body.shift_t(x.tshift + y.tshift - s), y.rebase(c).body)
+                for x, y in pairs]), s
     )
 
 
@@ -930,18 +933,31 @@ class LocalizedElement:
         return self.body.support()
 
     def rebase(self, chart: int) -> "LocalizedElement":
-        return LocalizedElement(self.body.rebase(chart), self.tshift)
+        """The same element over chart c.  The shift e counts powers of the
+        chart's own t, and t_j = (1 + (c_c - c_j) z_c) t_c, so the body picks
+        up that polynomial unit to the power e, or its inverse
+        (1 + (c_j - c_c) z_j)^(-e) for e < 0 (``chart_ratio_unit``)."""
+        j, e = self.chart, self.tshift
+        if chart == j:
+            return self
+        body = self.body
+        if e < 0:
+            body = body * chart_ratio_unit(self.cfg, j, chart, body.precision) ** -e
+        body = body.rebase(chart)
+        if e > 0:
+            body = body * chart_ratio_unit(self.cfg, chart, j, body.precision) ** e
+        return LocalizedElement(body, e)
 
     def __neg__(self) -> "LocalizedElement":
         return LocalizedElement(-self.body, self.tshift)
 
     def __mul__(self, other) -> "LocalizedElement":
-        other = LocalizedElement.of(other)
+        other = LocalizedElement.of(other).rebase(self.chart)
         return LocalizedElement(self.body * other.body, self.tshift + other.tshift)
 
     def _common_shift(self, other):
-        """(b1, b2, e) with self = t^e b1 and other = t^e b2."""
-        other = LocalizedElement.of(other)
+        """(b1, b2, e) with self = t^e b1 and other = t^e b2, over self's chart."""
+        other = LocalizedElement.of(other).rebase(self.chart)
         e = min(self.tshift, other.tshift)
         return self.body.shift_t(self.tshift - e), other.body.shift_t(other.tshift - e), e
 

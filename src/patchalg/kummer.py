@@ -285,13 +285,14 @@ class _Coord:
         return e
 
     def plus(self, other: "_Coord", u2) -> "_Coord":
-        """The sum, over the larger of the two u2 powers."""
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
+        """The sum, over the larger of the two u2 powers, zeros included."""
         p = max(self.u2pow, other.u2pow)
         return _Coord(self.lifted(p, u2) + other.lifted(p, u2), p)
+
+    def equals(self, other: "_Coord", u2) -> bool:
+        """Equality of values, over the larger of the two u2 powers."""
+        p = max(self.u2pow, other.u2pow)
+        return self.lifted(p, u2).equals(other.lifted(p, u2))
 
 
 @dataclass
@@ -306,14 +307,17 @@ class KummerExtension:
     radicand: _Coord
     u2: Optional[AnalyticElement] = None
     zeta_powers: tuple = field(init=False, repr=False, compare=False)
+    zero: _Coord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """zeta_powers[l] = zeta^l for 0 <= l < degree, read by ``galois`` and
-        by the weights of ``KummerElement.norm``."""
+        by the weights of ``KummerElement.norm``; zero is the coordinate 0
+        at the configured precision."""
         powers = [Scalar.one(self.cfg.field)]
         for _ in range(1, self.degree):
             powers.append(powers[-1] * self.zeta)
         self.zeta_powers = tuple(powers)
+        self.zero = _Coord(AnalyticElement.zero(self.cfg, self.chart))
 
     @staticmethod
     def create(cfg: Configuration, chart: int, degree: int, radicand,
@@ -342,16 +346,12 @@ class KummerExtension:
         return KummerElement(self, tuple(cs))
 
     def generator(self) -> "KummerElement":
-        zero = _Coord(AnalyticElement.zero(self.cfg, self.chart, self.cfg.precision))
-        one = _Coord(AnalyticElement.one(self.cfg, self.chart, self.cfg.precision))
-        coords = [zero] * self.degree
-        coords[1 % self.degree] = one
+        coords = [self.zero] * self.degree
+        coords[1 % self.degree] = _Coord(AnalyticElement.one(self.cfg, self.chart))
         return KummerElement(self, tuple(coords))
 
     def scalar_embed(self, x) -> "KummerElement":
-        zero = _Coord(AnalyticElement.zero(self.cfg, self.chart, self.cfg.precision))
-        coords = [_Coord(x)] + [zero] * (self.degree - 1)
-        return KummerElement(self, tuple(coords))
+        return KummerElement(self, (_Coord(x),) + (self.zero,) * (self.degree - 1))
 
 
 class KummerElement:
@@ -386,19 +386,18 @@ class KummerElement:
         return self + (-other)
 
     def __mul__(self, other: "KummerElement") -> "KummerElement":
-        """The product: every ordered pair of nonzero coordinates, weight 1, one
+        """The product: every ordered pair of coordinates, zeros included, with
+        weight 1 and the radicand on the pairs that wrap past alpha^q; one
         ``localized_dot`` per output coordinate (``_coordinate_products``)."""
         self._check(other)
-        q = self.ext.degree
-        one = self.ext.zeta_powers[0]
+        ext = self.ext
+        q = ext.degree
+        one = ext.zeta_powers[0]
         groups = [[] for _ in range(q)]
-        for n1, c1 in enumerate(self.coords):
-            if c1.is_zero():
-                continue
-            for n2, c2 in enumerate(other.coords):
-                if not c2.is_zero():
-                    groups[(n1 + n2) % q].append((n1, n2, one))
-        return _coordinate_products(self.ext, self.coords, other.coords, groups)
+        for n1 in range(q):
+            for n2 in range(q):
+                groups[(n1 + n2) % q].append((n1, n2, one, ext.radicand if n1 + n2 >= q else None))
+        return KummerElement(ext, _coordinate_products(ext, self.coords, other.coords, groups))
 
     def scale(self, s) -> "KummerElement":
         return KummerElement(
@@ -427,51 +426,51 @@ class KummerElement:
         Computed down the tower of fixed fields: for step = q/2, q/4, ..., 1,
         acc <- acc * sigma^step(acc).  After a step acc is the norm from the
         extension down to the fixed field of sigma^step, which is spanned by
-        the powers alpha^n with step | n; every other coordinate must vanish
-        exactly, or ArithmeticError is raised.  After the last step all
-        higher coordinates must vanish.  For q = 4 that is two products, the
+        the powers alpha^n with q/step | n (after the last step, alpha^0
+        alone); every other coordinate must vanish exactly, or
+        ArithmeticError is raised.  For q = 4 that is two products, the
         second on coordinates 0 and 2 only, against three generic ones for
         x * sigma(x) * sigma^2(x) * sigma^3(x).
 
-        Each step multiplies every unordered pair n1 <= n2 of nonzero
-        coordinates once: the ordered pairs (n1, n2) and (n2, n1) of
-        x * sigma^s(x) are x_n1 x_n2 times zeta^(s n2) and zeta^(s n1), so
-        the pair enters with the weight w = zeta^(s n1) + zeta^(s n2), or
-        zeta^(s n1) when n1 = n2.  A pair of weight exactly zero cancels and
-        is dropped; for a primitive zeta those pairs fill exactly the
-        output coordinates that must vanish.  The weights are read from the
-        extension's own zeta, so a zeta that is not primitive still trips
-        the check: with zeta = -1 in degree 4, sigma^2 is the identity, the
-        mixed pairs of the first step get weight 2 and the odd coordinates
-        do not vanish.
+        Each step multiplies every unordered pair n1 <= n2 of the
+        coordinates of the fixed field reached so far once, zeros included:
+        all of them at the first step, then those of the last step's fixed
+        field, since the others are exact zeros (below).  The ordered pairs
+        (n1, n2) and (n2, n1) of x * sigma^s(x) are x_n1 x_n2 times
+        zeta^(s n2) and zeta^(s n1), so the pair enters with the weight
+        w = zeta^(s n1) + zeta^(s n2), or zeta^(s n1) when n1 = n2.  A pair of
+        weight exactly zero cancels and is dropped; for a primitive zeta
+        those pairs fill exactly the output coordinates that must vanish,
+        which come out as the extension's zero.  The weights are read from
+        the extension's own zeta, so a zeta that is not primitive still
+        trips the check: with zeta = -1 in degree 4, sigma^2 is the
+        identity, the mixed pairs of the first step get weight 2 and the odd
+        coordinates do not vanish.
         """
         ext = self.ext
         q = ext.degree
         z = ext.zeta_powers
+        rad = ext.radicand
         acc = self
         step = q // 2
+        fixed = range(q)
         while step:
-            nonzero = [n for n, c in enumerate(acc.coords) if not c.is_zero()]
             groups = [[] for _ in range(q)]
-            for i, n1 in enumerate(nonzero):
+            for i, n1 in enumerate(fixed):
                 w1 = z[step * n1 % q]
-                for n2 in nonzero[i:]:
+                for n2 in fixed[i:]:
                     w = w1 if n1 == n2 else w1 + z[step * n2 % q]
                     if not w.is_zero():
-                        groups[(n1 + n2) % q].append((n1, n2, w))
-            acc = _coordinate_products(ext, acc.coords, acc.coords, groups)
+                        groups[(n1 + n2) % q].append((n1, n2, w, rad if n1 + n2 >= q else None))
+            acc = KummerElement(ext, _coordinate_products(ext, acc.coords, acc.coords, groups))
+            fixed = range(0, q, q // step)
             for n in range(q):
-                if n % step and not acc.coords[n].is_zero():
+                if n not in fixed and not acc.coords[n].is_zero():
                     raise ArithmeticError(
                         f"norm to the fixed field of sigma^{step} has a nonzero "
                         f"coordinate {n} (internal inconsistency)"
                     )
             step //= 2
-        for n in range(1, q):
-            if not acc.coords[n].is_zero():
-                raise ArithmeticError(
-                    "norm has a nonzero higher coordinate (internal inconsistency)"
-                )
         return acc.coords[0]
 
     def valuation(self, pt: PrimePoint) -> int:
@@ -491,47 +490,39 @@ class KummerElement:
         return best
 
 
-def _coordinate_products(ext: KummerExtension, left: tuple, right: tuple,
-                         groups: list) -> KummerElement:
-    """The element whose coordinate n is the sum over the entries (n1, n2, w)
-    of groups[n] of w * left[n1] * right[n2], times the radicand when
-    n1 + n2 >= q, with one ``localized_dot`` per output coordinate.
+def _coordinate_products(ext, left: Sequence, right: Sequence, groups: list) -> tuple:
+    """Coordinate n is the sum over the entries (n1, n2, w, rad) of groups[n]
+    of w * left[n1] * right[n2] * rad, where rad is a radicand ``_Coord`` or
+    None, as one ``localized_dot``; an empty group is ext's zero.  ext is the
+    extension or grid the coordinates live in, for its ``u2`` and ``zero``.
 
+    Zero coordinates are kept, so a zero known only mod t^w bounds every
+    coordinate it enters at t^w, as it bounds the sum with ``*`` and ``+``.
     The entries of a coordinate are brought to the largest u2 power among
-    them: an entry that wraps past alpha^q has its right factor times the
-    radicand, and an entry below the largest power has its right factor
-    times u2 to the difference; ``localized_dot`` aligns their t-shifts.
-    Each right factor is built once per product, keyed
-    (n2, wraps, lift), and shared by every entry that uses it; an entry
-    scales it by its weight w unless w is 1.
+    them: an entry below it has its right factor times u2 to the
+    difference; ``localized_dot`` aligns their t-shifts.  Each right factor
+    is built once per call, keyed (n2, rad, lift), and shared by every
+    entry that uses it; an entry scales it by its weight w unless w is 1.
     """
-    q = ext.degree
-    rad_pow = ext.radicand.u2pow
-    built: dict = {}  # (n2, wraps, lift) -> right[n2] * radicand^wraps * u2^lift
+    built: dict = {}  # (n2, rad, lift) -> right[n2] * rad * u2^lift
     out = []
     for group in groups:
         if not group:
-            out.append(_Coord(AnalyticElement.zero(ext.cfg, ext.chart, ext.cfg.precision)))
+            out.append(ext.zero)
             continue
-        entries = []
-        for n1, n2, w in group:
-            wraps = n1 + n2 >= q
-            power = left[n1].u2pow + right[n2].u2pow + (rad_pow if wraps else 0)
-            entries.append((left[n1].elem, n2, wraps, power, w))
-        top = max(entry[3] for entry in entries)
+        entries = [(n1, n2, w, rad, left[n1].u2pow + right[n2].u2pow + (rad.u2pow if rad else 0))
+                   for n1, n2, w, rad in group]
+        top = max(entry[4] for entry in entries)
         factors = []
-        for f, n2, wraps, power, w in entries:
-            key = (n2, wraps, top - power)
+        for n1, n2, w, rad, power in entries:
+            key = (n2, rad, top - power)
             g = built.get(key)
             if g is None:
-                g = right[n2].elem
-                if wraps:
-                    g = g * ext.radicand.elem
-                g = _Coord(g).lifted(top - power, ext.u2)
-                built[key] = g
-            factors.append((f, g if w.is_one() else g.scale(w)))
+                g = right[n2].elem if rad is None else right[n2].elem * rad.elem
+                g = built[key] = _Coord(g).lifted(top - power, ext.u2)
+            factors.append((left[n1].elem, g if w.is_one() else g.scale(w)))
         out.append(_Coord(localized_dot(factors), top))
-    return KummerElement(ext, tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -709,45 +700,39 @@ class BiRadicalGrid:
 
     Only enough structure to state the norm identity: the q'-th power of the
     second generator lands back in the base and equals b, and likewise
-    U^q = a.  Coordinates reuse the u2-localized presentation.
+    U^q = a.  Coordinates reuse the u2-localized presentation.  A product is
+    one ``_coordinate_products`` over every pair of cells, zeros included:
+    a pair that wraps past U^q, V^q' or both names a, b or a*b (built once
+    per grid) as its radicand.
     """
 
     def __init__(self, sc: Scenario):
-        self.sc = sc
-        self.q = sc.q
-        self.qp = sc.qprime
+        q, qp = sc.q, sc.qprime
+        self.u2 = sc.u2
         self.rad_u = _Coord(sc.rp.rebase(sc.j), 1)   # a as r'/u2
         self.rad_v = _Coord(sc.r, 1)                 # b as r/u2
         self.zero = _Coord(AnalyticElement.zero(sc.cfg, sc.j, sc.cfg.precision))
         self.one = _Coord(AnalyticElement.one(sc.cfg, sc.j, sc.cfg.precision))
+        self.cells = [(u, v) for u in range(q) for v in range(qp)]
+        rads = {(False, False): None, (True, False): self.rad_u, (False, True): self.rad_v,
+                (True, True): _Coord(self.rad_u.elem * self.rad_v.elem, 2)}
+        one = Scalar.one(sc.cfg.field)
+        self.groups = [[] for _ in self.cells]
+        for n1, (u1, v1) in enumerate(self.cells):
+            for n2, (u2, v2) in enumerate(self.cells):
+                u, v = u1 + u2, v1 + v2
+                self.groups[u % q * qp + v % qp].append((n1, n2, one, rads[u >= q, v >= qp]))
 
     def element(self, entries: dict) -> dict:
-        out = {(u, v): self.zero for u in range(self.q) for v in range(self.qp)}
+        out = {cell: self.zero for cell in self.cells}
         for key, val in entries.items():
             out[key] = val if isinstance(val, _Coord) else _Coord(val)
         return out
 
-    def _coord_mul(self, c1: _Coord, c2: _Coord) -> _Coord:
-        return _Coord(c1.elem * c2.elem, c1.u2pow + c2.u2pow)
-
     def mul(self, x: dict, y: dict) -> dict:
-        out = {(u, v): self.zero for u in range(self.q) for v in range(self.qp)}
-        for (u1, v1), c1 in x.items():
-            if c1.is_zero():
-                continue
-            for (u2, v2), c2 in y.items():
-                if c2.is_zero():
-                    continue
-                u, v = u1 + u2, v1 + v2
-                c = self._coord_mul(c1, c2)
-                if u >= self.q:
-                    u -= self.q
-                    c = self._coord_mul(c, self.rad_u)
-                if v >= self.qp:
-                    v -= self.qp
-                    c = self._coord_mul(c, self.rad_v)
-                out[(u, v)] = out[(u, v)].plus(c, self.sc.u2)
-        return out
+        left = [x[cell] for cell in self.cells]
+        right = [y[cell] for cell in self.cells]
+        return dict(zip(self.cells, _coordinate_products(self, left, right, self.groups)))
 
     def power(self, x: dict, e: int) -> dict:
         out = self.element({(0, 0): self.one})
@@ -755,14 +740,10 @@ class BiRadicalGrid:
             out = self.mul(out, x)
         return out
 
-    def coords_equal(self, c1: _Coord, c2: _Coord) -> bool:
-        p = max(c1.u2pow, c2.u2pow)
-        return c1.lifted(p, self.sc.u2).equals(c2.lifted(p, self.sc.u2))
-
     def is_base_constant(self, x: dict, value: _Coord) -> bool:
         for key, c in x.items():
             if key == (0, 0):
-                if not self.coords_equal(c, value):
+                if not c.equals(value, self.u2):
                     return False
             elif not c.is_zero():
                 return False

@@ -179,9 +179,9 @@ class PatchMatrix:
         )
 
     def det(self) -> LocalizedElement:
-        """Exact determinant (desk-scale dimensions), read off the
-        adjugate: ``det_by(adjugate())``."""
-        return self.det_by(self.adjugate())
+        """Exact determinant (desk-scale dimensions), one expansion ``_det``."""
+        idx = list(range(self.n))
+        return self._det(idx, idx)
 
     def _det(self, rows: list, cols: list) -> LocalizedElement:
         """The minor on rows x cols, expanded along its first row: one
@@ -195,9 +195,9 @@ class PatchMatrix:
         ])
 
     def det_by(self, adj: "PatchMatrix") -> LocalizedElement:
-        """The determinant read off the adjugate adj: one ``localized_dot``
-        of the first row against the cofactors adj[c][0], zero entries kept,
-        so it claims no more precision than the sum with ``*`` and ``+``."""
+        """The determinant read off the adjugate adj (``gl_factor`` has it):
+        one ``localized_dot`` of the first row against the cofactors
+        adj[c][0], zero entries kept, as the sum with ``*`` and ``+``."""
         return localized_dot([(self.rows[0][c], adj.rows[c][0]) for c in range(self.n)])
 
     def adjugate(self) -> "PatchMatrix":

@@ -4,8 +4,9 @@ coordinate, against the pairwise product it replaced.
 Over Q (degree 2) and Q(i) (degrees 2 and 4), two to five centers, with
 coordinates, radicand and unit u2 that carry u2 powers and t-shifts, some
 coordinates zero and some at a lower precision.  The reference multiplies
-every coordinate pair by itself and sums with ``_Coord.plus``; the two must
-agree bit for bit in value, u2 power and t-shift.
+every coordinate pair by itself, zeros included, and sums with
+``_Coord.plus`` from each coordinate's first product; the two must agree
+bit for bit in value, u2 power and t-shift.
 """
 
 import random
@@ -20,25 +21,21 @@ from test_rebase_props import configurations
 
 
 def pairwise_product(x, y):
-    """x * y one coordinate pair at a time, wrapped pairs times the radicand,
-    summed over the larger u2 power by ``_Coord.plus``."""
+    """x * y one coordinate pair at a time, zeros included, wrapped pairs
+    times the radicand, summed over the larger u2 power by ``_Coord.plus``
+    from each coordinate's first product."""
     ext = x.ext
     q = ext.degree
     rad = ext.radicand
-    zero = _Coord(AnalyticElement.zero(ext.cfg, ext.chart, ext.cfg.precision))
-    out = [zero] * q
+    out = [None] * q
     for n1, c1 in enumerate(x.coords):
-        if c1.is_zero():
-            continue
         for n2, c2 in enumerate(y.coords):
-            if c2.is_zero():
-                continue
             n = n1 + n2
             prod = _Coord(c1.elem * c2.elem, c1.u2pow + c2.u2pow)
             if n >= q:
                 n -= q
                 prod = _Coord(prod.elem * rad.elem, prod.u2pow + rad.u2pow)
-            out[n] = out[n].plus(prod, ext.u2)
+            out[n] = prod if out[n] is None else out[n].plus(prod, ext.u2)
     return out
 
 

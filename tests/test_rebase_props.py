@@ -2,7 +2,8 @@
 
 Q and Q(i), two to five centers (integer or not), precision 4 to 24 (to
 32 for products, about half of those at 24 or 32), and random canonical
-forms of any valuation.
+forms of any valuation.  A localized element t^e * body keeps its value
+under a chart change, and its products commute across charts.
 """
 
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchalg.analytic import Configuration, random_element
+from patchalg.analytic import Configuration, LocalizedElement, random_element
 from patchalg.oracle import OracleCache, oracle_of_element
 from patchalg.scalars import QQ, Scalar, cyclotomic_field
 
@@ -108,3 +109,34 @@ def test_rebase_keeps_valuation(fj):
 def test_rebase_keeps_valuation_of_products(hj):
     h, j = hj
     assert h.rebase(j).valuation() == h.valuation()
+
+
+@st.composite
+def localized(draw, shifts):
+    """A localized element t^e * body over a random chart, e drawn from
+    shifts, and some chart."""
+    cfg = draw(configurations(max_prec=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = LocalizedElement(element(draw, cfg, rng, draw(st.integers(1, 3))), draw(shifts))
+    return x, draw(st.sampled_from(list(cfg.indices)))
+
+
+@settings(max_examples=60)
+@given(localized(st.integers(0, 3)))
+def test_localized_rebase_keeps_the_value(xc):
+    """The shift counts powers of the chart's own t, so a chart change
+    carries the ratio of the two t's into the body."""
+    x, c = xc
+    assert x.rebase(c).as_element().equals(x.as_element())
+
+
+@settings(max_examples=60)
+@given(localized(st.integers(-2, 2)), st.data())
+def test_localized_products_commute_across_charts(xc, data):
+    """x * y lands in x's chart and y * x in y's; with a shift sum e >= 0
+    both are compared as elements, t^e times the body."""
+    x, c = xc
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    body = element(data.draw, x.cfg, rng, 2).rebase(c)
+    y = LocalizedElement(body, data.draw(st.integers(max(-2, -x.tshift), 2)))
+    assert (x * y).as_element().equals((y * x).as_element())

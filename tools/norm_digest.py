@@ -43,10 +43,14 @@ Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``hensel_root``,
 ``prime_point_valuation``, ``weierstrass_div``, ``ae_dot``, ``rebase``,
 ``split``, ``oracle_of_element``, ``OracleSeries``, ``cartan_factor`` or
-``gl_factor`` (or the series product under them) is checked by running this script in both and comparing the
-outputs.  The script is part of the checkout, so when it changes, copy the
-newer version into the other checkout before comparing: two versions digest
-different data and never agree.
+``gl_factor`` (or the series product under them) is checked by running this
+script in both and comparing the outputs.  The ``norm`` and ``valuation``
+kinds also check ``kummer._coordinate_products`` and ``LocalizedElement``
+arithmetic (``*``, ``+``, ``-``, ``rebase`` and ``localized_dot``), which
+every Kummer product and norm goes through.  The script is part of the
+checkout, so when it changes, copy the newer version into the other
+checkout before comparing: two versions digest different data and never
+agree.
 """
 
 from __future__ import annotations
