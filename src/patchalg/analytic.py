@@ -121,9 +121,6 @@ class Configuration:
     def indices(self) -> range:
         return range(len(self.centers))
 
-    def center(self, i: int) -> Scalar:
-        return self.centers[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented

@@ -18,11 +18,12 @@ on the conjugated residual).  The reported round count is that
 contraction's, read off its error recursion, which is evaluated lazily,
 one t-coefficient at a time and only as deep as each valuation needs.
 
-The lift and the round count hold each t-coefficient in integer form, one
-denominator and a numerator per slot and coordinate, so a coefficient
-product is one integer multiply per pair of numerators.  Their kernel,
-``_dot``, routes those products as ``ae_dot`` routes series products and
-reduces each cross cell once by the configuration's cached
+The lift and the round count hold the t^m coefficient of a whole matrix as
+one integer z-polynomial, one denominator and a numerator per entry, slot
+and coordinate, so a coefficient product is one integer multiply per pair
+of numerators.  Their kernel, ``_combine``, joins a left factor's columns
+to a right factor's rows, routes each product as ``ae_dot`` routes series
+products and reduces each cross cell once by the configuration's cached
 partial-fraction coefficients; the factors' series are built once, at the
 end.
 
@@ -54,7 +55,7 @@ from .analytic import (
     unit_invert,
 )
 from .intvec import apply_rule, content, coord_mul
-from .series import INF, NonUnitError, TruncSeries
+from .series import INF, NonUnitError, TruncSeries, newton_inverse
 
 __all__ = [
     "FactorizationError",
@@ -212,28 +213,16 @@ class PatchMatrix:
 
         return PatchMatrix([[cofactor(j, i) for j in idx] for i in idx], self.chart)
 
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for row in self.rows for x in row)
+
     def invert_near_identity(self) -> "PatchMatrix":
-        """Inverse when v(self - 1) >= 1: the alternating t-adic sum of powers
-        of the deviation, summed term by term (exact within the window)."""
-        m = self.deviation()
-        if m.min_valuation() < 1:
+        """Inverse when v(self - 1) >= 1, by ``newton_inverse`` from the
+        identity (exact within the window)."""
+        if self.deviation().min_valuation() < 1:
             raise FactorizationError("matrix is not within distance 1 of the identity")
-        return _neumann(PatchMatrix.identity(self.cfg, self.n, self.chart, self.precision), -m, True)
-
-
-def _neumann(x: PatchMatrix, n: PatchMatrix, left: bool) -> PatchMatrix:
-    """sum_k n^k x (left) or sum_k x n^k, for v(n) >= 1, mod t^prec of x.
-
-    Adds one term at a time, term <- n term (or term n), and stops once the
-    next term would vanish to precision: its order is at least the current
-    term's plus v(n).
-    """
-    prec, vn = x.precision, n.min_valuation()
-    acc = term = x
-    while term.min_valuation() + vn < prec:
-        term = n * term if left else term * n
-        acc = acc + term
-    return acc
+        one = PatchMatrix.identity(self.cfg, self.n, self.chart, self.precision)
+        return newton_inverse(self, one, one, self.precision)
 
 
 @dataclass
@@ -245,10 +234,6 @@ class FactorizationResult:
     rounds: int = 0
     notes: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return all(self.side_memberships)
-
 
 def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
     J = frozenset(J)
@@ -258,11 +243,10 @@ def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 # the Cartan step, one t-coefficient at a time
 #
-# A coefficient is a z-polynomial over K in integer form: a pair (den, comps)
-# of one denominator and, per coordinate (one over Q, re and im over Q(i)),
-# a map from slot (None for f0, (k, n) for z_k^n) to a nonzero numerator.
-# A coefficient matrix is a tuple of rows of coefficients.  None is zero,
-# both for a coefficient and for a coefficient matrix.
+# The t^m coefficient of a matrix is one z-polynomial over K in integer form:
+# a pair (den, comps) of one denominator and, per coordinate (one over Q, re
+# and im over Q(i)), a map from (row, col, slot) to a nonzero numerator, the
+# slot None for f0 and (k, n) for z_k^n.  None is the zero matrix.
 # ---------------------------------------------------------------------------
 
 
@@ -279,22 +263,18 @@ def _normal(den: int, comps) -> Optional[tuple]:
     return den, comps
 
 
-def _coefficient(x: AnalyticElement, m: int) -> Optional[tuple]:
-    """The t^m coefficient of x."""
-    series = [(None, x.f0), *x.zc.items()]
-    den = lcm(*(s.den for _slot, s in series))
-    comps = tuple({} for _ in x.f0._c)
-    for slot, s in series:
+def _coefficient(a: PatchMatrix, m: int) -> Optional[tuple]:
+    """The t^m coefficient of the matrix of a's bodies."""
+    series = [((r, c, slot), s) for r, row in enumerate(a.rows) for c, x in enumerate(row)
+              for slot, s in ((None, x.body.f0), *x.body.zc.items())]
+    den = lcm(*(s.den for _key, s in series))
+    comps = tuple({} for _ in range(a.cfg.field.dim))
+    for key, s in series:
         f = den // s.den
         for comp, c in zip(comps, s._c):
             if c[m]:
-                comp[slot] = c[m] * f
+                comp[key] = c[m] * f
     return _normal(den, comps)
-
-
-def _matrix(rows):
-    rows = tuple(tuple(row) for row in rows)
-    return None if all(x is None for row in rows for x in row) else rows
 
 
 def _difference(x, y):
@@ -314,76 +294,39 @@ def _difference(x, y):
     return _normal(den, comps)
 
 
-def _sub(x, y):
-    if y is None:
-        return x
-    if x is None:
-        x = tuple((None,) * len(row) for row in y)
-    return _matrix([[_difference(a, b) for a, b in zip(r, s)] for r, s in zip(x, y)])
-
-
 def _conv(out: tuple, xs: tuple, ys: tuple, _arg, scale: int) -> None:
     """out += scale * x * y on one coordinate of each factor, a real kernel
     for ``intvec.apply_rule`` (it takes no argument of its own).
 
-    Each product of numerators goes where ``ae_dot`` sends its series: f0
-    times a slot to that slot, z_k^a z_k^b to (k, a + b), and a cross
-    product z_k^a z_l^b (k < l) to the cell (k, a, l, b), a key of four
-    entries, which ``_dot`` reduces once at the end.
+    A numerator of x at (r, k, s1) meets each of y at (k, c, s2), and their
+    product goes to row r and column c, in the slot where ``ae_dot`` sends
+    its series: f0 times a slot to that slot, z_k^a z_k^b to (k, a + b),
+    and a cross product z_k^a z_l^b (k < l) to the cell (k, a, l, b), a
+    slot of four entries, which ``_combine`` reduces once at the end.
     """
     (out,), (xs,), (ys,) = out, xs, ys
+    rows = {}
+    for (k, c, s2), v in ys.items():
+        rows.setdefault(k, []).append((c, s2, v))
     get = out.get
-    for s1, u in xs.items():
+    for (r, k, s1), u in xs.items():
+        right = rows.get(k)
+        if right is None:
+            continue
         u *= scale
         if s1 is None:
-            for s2, v in ys.items():
-                out[s2] = get(s2, 0) + u * v
+            for c, s2, v in right:
+                key = r, c, s2
+                out[key] = get(key, 0) + u * v
             continue
-        k, a = s1
-        for s2, v in ys.items():
+        j, a = s1
+        for c, s2, v in right:
             if s2 is None:
-                out[s1] = get(s1, 0) + u * v
-                continue
-            l, b = s2
-            key = (k, a + b) if k == l else (k, a, l, b) if k < l else (l, b, k, a)
+                key = r, c, s1
+            else:
+                l, b = s2
+                key = r, c, (j, a + b) if j == l else (j, a, l, b) if j < l else (l, b, j, a)
             out[key] = get(key, 0) + u * v
-
-
-def _dot(cfg: Configuration, base, pairs: list):
-    """base - sum of x * y over (x, y) in pairs, for coefficients; base may
-    be None (zero), the pairs' factors may not.
-
-    All products are summed over one common denominator, by the product
-    rule of ``intvec`` over the real kernel ``_conv``.  Each cross cell is
-    then reduced once by its partial-fraction expansion,
-    ``Configuration.rewrite_ints``.
-    """
-    den = 1 if base is None else base[0]
-    for x, y in pairs:
-        den = lcm(den, x[0] * y[0])
-    if base is None:
-        acc = tuple({} for _ in pairs[0][0][1])
-    else:
-        f = den // base[0]
-        acc = tuple({s: v * f for s, v in c.items()} for c in base[1])
-    for (xden, xc), (yden, yc) in pairs:
-        apply_rule(_conv, acc, xc, yc, None, -(den // (xden * yden)))
-    keys = {key for c in acc for key in c if key and len(key) == 4}
-    if keys:
-        reduced = [([c.pop(key, 0) for c in acc], cfg.rewrite_ints(*key)) for key in keys]
-        rden = lcm(*(d for _w, rw in reduced for _kn, _nums, d in rw))
-        if rden > 1:
-            den *= rden
-            for c in acc:
-                for s in c:
-                    c[s] *= rden
-        for w, rw in reduced:
-            for kn, nums, d in rw:
-                f = rden // d
-                for c, v in zip(acc, coord_mul(w, nums)):
-                    if v:
-                        c[kn] = c.get(kn, 0) + v * f
-    return _normal(den, acc)
 
 
 def _valuation(s, limit: int) -> int:
@@ -414,40 +357,59 @@ def _products(left, right, d: int) -> list:
 
 
 def _combine(cfg: Configuration, base, products: list):
-    """base - sum of L * R over the coefficient matrices (L, R) in
-    products, one ``_dot`` per entry; base may be None (zero)."""
+    """base - sum of L * R over the coefficients (L, R) in products; base
+    may be None (zero), the factors may not.
+
+    All products are summed over one common denominator, one
+    ``intvec.apply_rule`` over the real kernel ``_conv`` per pair.  Each
+    cross cell (r, c, (k, a, l, b)) is then reduced once by its
+    partial-fraction expansion, ``Configuration.rewrite_ints``.
+    """
     if not products:
         return base
-    n = len(products[0][0])
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            pairs = [(L[r][k], R[k][c]) for L, R in products for k in range(n)
-                     if L[r][k] is not None and R[k][c] is not None]
-            x = None if base is None else base[r][c]
-            row.append(_dot(cfg, x, pairs) if pairs else x)
-        rows.append(row)
-    return _matrix(rows)
+    den = 1 if base is None else base[0]
+    for (lden, _lc), (rden, _rc) in products:
+        den = lcm(den, lden * rden)
+    if base is None:
+        acc = tuple({} for _ in products[0][0][1])
+    else:
+        f = den // base[0]
+        acc = tuple({s: v * f for s, v in c.items()} for c in base[1])
+    for (lden, lc), (rden, rc) in products:
+        apply_rule(_conv, acc, lc, rc, None, -(den // (lden * rden)))
+    cells = {key for c in acc for key in c if key[2] and len(key[2]) == 4}
+    if cells:
+        reduced = [(r, c, [comp.pop((r, c, cell), 0) for comp in acc], cfg.rewrite_ints(*cell))
+                   for r, c, cell in cells]
+        rden = lcm(*(d for *_w, rw in reduced for _kn, _nums, d in rw))
+        if rden > 1:
+            den *= rden
+            for comp in acc:
+                for s in comp:
+                    comp[s] *= rden
+        for r, c, w, rw in reduced:
+            for kn, nums, d in rw:
+                f, key = rden // d, (r, c, kn)
+                for comp, v in zip(acc, coord_mul(w, nums)):
+                    if v:
+                        comp[key] = comp.get(key, 0) + v * f
+    return _normal(den, acc)
 
 
-def _split(mat, i: int) -> tuple:
-    """(the part on f0 and z_k, k != i; the part on z_i) of a coefficient
-    matrix.  In the working chart this slot partition puts each part in its
-    side's subring: rebasing into a side's chart only ever adds that side's
-    own generator."""
-    if mat is None:
+def _split(x, i: int) -> tuple:
+    """(the part on f0 and z_k, k != i; the part on z_i) of a coefficient.
+    In the working chart this slot partition puts each part in its side's
+    subring: rebasing into a side's chart only ever adds that side's own
+    generator."""
+    if x is None:
         return None, None
 
-    def part(x, on: bool):
-        if x is None:
-            return None
-        comps = tuple({s: v for s, v in c.items() if (s is not None and s[0] == i) == on}
-                      for c in x[1])
+    def part(on: bool):
+        comps = tuple({key: v for key, v in c.items()
+                       if (key[2] is not None and key[2][0] == i) == on} for c in x[1])
         return (x[0], comps) if any(comps) else None
 
-    return (_matrix([[part(x, False) for x in row] for row in mat]),
-            _matrix([[part(x, True) for x in row] for row in mat]))
+    return part(False), part(True)
 
 
 def _lift(a: PatchMatrix, i: int) -> tuple:
@@ -461,8 +423,7 @@ def _lift(a: PatchMatrix, i: int) -> tuple:
     """
     X, Y = [None], [None]
     for m in range(1, a.precision):
-        A = _matrix([[_coefficient(x.body, m) for x in row] for row in a.rows])
-        x, y = _split(_combine(a.cfg, A, _products(X, Y, m)), i)
+        x, y = _split(_combine(a.cfg, _coefficient(a, m), _products(X, Y, m)), i)
         X.append(x)
         Y.append(y)
     return X, Y
@@ -481,8 +442,8 @@ def _next_errors(e1: _Stream, e2: _Stream, cfg: Configuration, i: int) -> tuple:
     e2' (1 + m2) = [Q]_i.
     """
     Q = _Stream(lambda d: _split(_combine(cfg, None, _products(e1, e2, d)), i))
-    m1 = _Stream(lambda d: _sub(e1[d], Q[d][0]))
-    m2 = _Stream(lambda d: _sub(e2[d], Q[d][1]))
+    m1 = _Stream(lambda d: _difference(e1[d], Q[d][0]))
+    m2 = _Stream(lambda d: _difference(e2[d], Q[d][1]))
     f1 = _Stream(lambda d: _combine(cfg, Q[d][0], _products(m1, f1, d)))
     f2 = _Stream(lambda d: _combine(cfg, Q[d][1], _products(f2, m2, d)))
     return f1, f2
@@ -511,33 +472,31 @@ def _contraction_rounds(X: list, Y: list, cfg: Configuration, i: int, prec: int,
 
 def _assemble(a: PatchMatrix, coeffs: list) -> PatchMatrix:
     """1 + sum_m t^m coeffs[m] in a's chart and at a's precision: each
-    entry's series are built once, over the lcm of its coefficients'
+    entry's series are built once, over the lcm of the coefficients'
     denominators."""
     cfg, prec = a.cfg, a.precision
     dim = cfg.field.dim
-    rows = []
-    for r in range(a.n):
-        row = []
-        for c in range(a.n):
-            terms = [(m, mat[r][c]) for m, mat in enumerate(coeffs)
-                     if mat is not None and mat[r][c] is not None]
-            den = lcm(1, *(x[0] for _m, x in terms))
-            slots = {None: [[0] * prec for _ in range(dim)]}
-            if r == c:
-                slots[None][0][0] = den
-            for m, (xden, comps) in terms:
-                f = den // xden
-                for d, comp in enumerate(comps):
-                    for slot, v in comp.items():
-                        s = slots.get(slot)
-                        if s is None:
-                            s = slots[slot] = [[0] * prec for _ in range(dim)]
-                        s[d][m] = v * f
-            f0 = TruncSeries(cfg.field, prec, den, slots.pop(None))
-            zc = {kn: TruncSeries(cfg.field, prec, den, s) for kn, s in slots.items()}
-            row.append(AnalyticElement(cfg, a.chart, f0, zc))
-        rows.append(row)
-    return PatchMatrix(rows, a.chart)
+    den = lcm(1, *(x[0] for x in coeffs if x is not None))
+    cells = [[{None: [[0] * prec for _ in range(dim)]} for _c in a.rows] for _r in a.rows]
+    for r, row in enumerate(cells):
+        row[r][None][0][0] = den
+    for m, x in enumerate(coeffs):
+        if x is None:
+            continue
+        f = den // x[0]
+        for d, comp in enumerate(x[1]):
+            for (r, c, slot), v in comp.items():
+                s = cells[r][c].get(slot)
+                if s is None:
+                    s = cells[r][c][slot] = [[0] * prec for _ in range(dim)]
+                s[d][m] = v * f
+
+    def entry(slots: dict) -> AnalyticElement:
+        f0 = TruncSeries(cfg.field, prec, den, slots.pop(None))
+        zc = {kn: TruncSeries(cfg.field, prec, den, s) for kn, s in slots.items()}
+        return AnalyticElement(cfg, a.chart, f0, zc)
+
+    return PatchMatrix([[entry(slots) for slots in row] for row in cells], a.chart)
 
 
 def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> FactorizationResult:

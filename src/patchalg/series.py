@@ -249,13 +249,15 @@ def newton_passes(prec: int) -> int:
 
 
 def newton_inverse(u, x, one, prec: int):
-    """u^-1 from x with u*x = 1 mod t, in any commutative ring of truncated
-    series (``TruncSeries``, ``BivarSeries``, ``AnalyticElement``).
+    """u^-1 from x with u*x = 1 mod t, in any ring of truncated series
+    (``TruncSeries``, ``BivarSeries``, ``AnalyticElement``) or of square
+    matrices over one (``PatchMatrix``).
 
-    Repeats e = u*x - 1, x <- x - x*e (Bernstein, "Removing redundancy in
-    high-precision Newton iteration") and returns x as soon as e vanishes
-    to precision, so the result is checked exact and an exact start costs
-    one product.  If e has not vanished after ceil(log2 prec) + 1 steps
+    It solves u*x = 1, so it gives a right inverse, which is the inverse
+    for square matrices.  Repeats e = u*x - 1, x <- x - x*e (Bernstein,
+    "Removing redundancy in high-precision Newton iteration") and returns
+    x as soon as e vanishes to precision, so the result is checked exact
+    and an exact start costs one product.  If e has not vanished after ceil(log2 prec) + 1 steps
     (``newton_passes``), which happens when u*x != 1 mod t, it raises
     ArithmeticError.
     """
@@ -468,9 +470,6 @@ class BivarSeries:
         """(self - y_row)/t as a representative; window size kept."""
         shifted = [[*c, 0] for row in self._r[1:] for c in row]
         return BivarSeries(self.field, self.prec, self.den, shifted + [[0]] * self.field.dim)
-
-    def is_y_only(self) -> bool:
-        return not any(any(c) for row in self._r[1:] for c in row)
 
 
 def weierstrass_div(g: BivarSeries, f: BivarSeries) -> tuple[BivarSeries, BivarSeries]:

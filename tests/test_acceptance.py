@@ -7,6 +7,7 @@ one-line pass/fail summary (visible with pytest -s or in captured output).
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -184,18 +185,20 @@ def _criterion_5_matrix() -> PatchMatrix:
 def test_criterion_5_cartan_op_count(monkeypatch):
     """Work gate beside criterion 5's wall budget: one fixed 3x3 Cartan
     factorization at N=12 in four rounds, with no series product and no
-    ``ae_dot`` call, and at most 12,000 coordinate products in the integer
-    z-polynomial kernel ``patching._dot``: the numerator products of its
-    convolution (8,816) plus its reductions of cross cells by a
-    partial-fraction coefficient (1,929), 10,745 in all.  History of the
-    gate: 77,684 series products (``add_product`` calls) with Horner
-    folds, 58,164 with the contraction by term-by-term Neumann sums, 8,816
-    with the t-adic lift on precision-1 series, and none since the lift
-    holds its coefficients as integers."""
+    ``ae_dot`` call, at most 64 ``apply_rule`` calls of the lift's kernel
+    ``patching._combine`` (58), one per product of whole-matrix
+    coefficients, and at most 12,000 coordinate products: the numerator
+    products its convolution ``_conv`` makes (8,816) plus its reductions of
+    cross cells by a partial-fraction coefficient (1,929), 10,745 in all.
+    History of the gate: 77,684 series products (``add_product`` calls)
+    with Horner folds, 58,164 with the contraction by term-by-term Neumann
+    sums, 8,816 with the t-adic lift on precision-1 series, none since the
+    lift holds its coefficients as integers, and 1,500 ``apply_rule``
+    calls while each matrix entry had a z-polynomial of its own."""
     A = _criterion_5_matrix()
-    counts = {"add_product": 0, "ae_dot": 0, "products": 0, "reductions": 0}
-    add_product, dot, coord_mul = _SeriesAcc.add_product, patching._dot, patching.coord_mul
-    ae_dot = analytic.ae_dot
+    counts = {"add_product": 0, "ae_dot": 0, "apply_rule": 0, "products": 0, "reductions": 0}
+    add_product, ae_dot = _SeriesAcc.add_product, analytic.ae_dot
+    apply_rule, conv, coord_mul = patching.apply_rule, patching._conv, patching.coord_mul
 
     def counted_add_product(*args, **kwargs):
         counts["add_product"] += 1
@@ -205,9 +208,14 @@ def test_criterion_5_cartan_op_count(monkeypatch):
         counts["ae_dot"] += 1
         return ae_dot(pairs)
 
-    def counted_dot(cfg, base, pairs):
-        counts["products"] += sum(len(cx) * len(cy) for x, y in pairs for cx in x[1] for cy in y[1])
-        return dot(cfg, base, pairs)
+    def counted_apply_rule(*args):
+        counts["apply_rule"] += 1
+        return apply_rule(*args)
+
+    def counted_conv(out, xs, ys, arg, scale):
+        rows = Counter(k for k, _c, _s in ys[0])
+        counts["products"] += sum(rows[k] for _r, k, _s in xs[0])
+        return conv(out, xs, ys, arg, scale)
 
     def counted_coord_mul(x, y):
         counts["reductions"] += 1
@@ -215,7 +223,8 @@ def test_criterion_5_cartan_op_count(monkeypatch):
 
     monkeypatch.setattr(_SeriesAcc, "add_product", counted_add_product)
     monkeypatch.setattr(analytic, "ae_dot", counted_ae_dot)
-    monkeypatch.setattr(patching, "_dot", counted_dot)
+    monkeypatch.setattr(patching, "apply_rule", counted_apply_rule)
+    monkeypatch.setattr(patching, "_conv", counted_conv)
     monkeypatch.setattr(patching, "coord_mul", counted_coord_mul)
     res = cartan_factor(A, 2)
     monkeypatch.undo()
@@ -224,9 +233,10 @@ def test_criterion_5_cartan_op_count(monkeypatch):
     _report(
         "criterion 5 work gate: fixed 3x3 Cartan factorization at N=12",
         res.rounds == 4 and counts["add_product"] == counts["ae_dot"] == 0
-        and counts["reductions"] > 0 and total <= 12_000,
+        and counts["reductions"] > 0 and total <= 12_000 and counts["apply_rule"] <= 64,
         f"{res.rounds} rounds, {total} coordinate products of 12000 "
         f"({counts['products']} products, {counts['reductions']} reductions), "
+        f"{counts['apply_rule']} apply_rule calls of 64, "
         f"{counts['add_product']} add_product and {counts['ae_dot']} ae_dot calls",
     )
 

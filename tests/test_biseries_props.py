@@ -127,7 +127,7 @@ def test_structure_helpers_match_the_model(field, prec, data):
     check(x.truncate(k), m, min(k, prec))
     check(x.y_row(), {key: v for key, v in m.items() if key[0] == 0}, prec)
     check(x.shift_down_t(), {(it - 1, iy): v for (it, iy), v in m.items() if it}, prec)
-    assert x.is_y_only() == all(it == 0 for it, _iy in m)
+    assert (x == x.y_row()) == all(it == 0 for it, _iy in m)
     for key in [(prec, 0), (0, prec), (-1, 0), (0, -1)]:
         with pytest.raises(IndexError):
             x.coeff(*key)

@@ -6,14 +6,31 @@ factors on both sides, repeat on the conjugated residual, whose inverses
 are Neumann sums.  The law: over Q and Q(i), two to five centers, any
 chart, 2x2 and 3x3 matrices and precision up to 16, the lift's factors
 equal the contraction's entry by entry and its round count is the
-contraction's loop count.
+contraction's loop count.  The Neumann sum is also the reference for
+`PatchMatrix.invert_near_identity`, a Newton iteration: the two agree in
+every entry's value, window and t-shift.
 """
 
 from hypothesis import given, settings
 
 from patchalg.analytic import AnalyticElement
-from patchalg.patching import PatchMatrix, _neumann, cartan_factor
+from patchalg.patching import PatchMatrix, cartan_factor
 from test_cartan_props import near_identity
+
+
+def _neumann(x: PatchMatrix, n: PatchMatrix, left: bool) -> PatchMatrix:
+    """sum_k n^k x (left) or sum_k x n^k, for v(n) >= 1, mod t^prec of x.
+
+    Adds one term at a time, term <- n term (or term n), and stops once the
+    next term would vanish to precision: its order is at least the current
+    term's plus v(n).
+    """
+    prec, vn = x.precision, n.min_valuation()
+    acc = term = x
+    while term.min_valuation() + vn < prec:
+        term = n * term if left else term * n
+        acc = acc + term
+    return acc
 
 
 def contraction_factor(a: PatchMatrix, i: int) -> tuple:
@@ -57,3 +74,14 @@ def test_lift_equals_the_contraction(ai):
     for got, want in ((res.b1, a1), (res.b2, a2)):
         assert got.chart == want.chart
         assert all(x.body == y.body for r1, r2 in zip(got.rows, want.rows) for x, y in zip(r1, r2))
+
+
+@settings(max_examples=10)
+@given(near_identity(max_prec=12))
+def test_inverse_equals_the_neumann_sum(ai):
+    a, _i = ai
+    ident = PatchMatrix.identity(a.cfg, a.n, a.chart, a.precision)
+    want = _neumann(ident, -a.deviation(), True)
+    got = a.invert_near_identity()
+    assert all(x.body == y.body and x.tshift == y.tshift
+               for r1, r2 in zip(got.rows, want.rows) for x, y in zip(r1, r2))

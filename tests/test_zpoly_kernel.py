@@ -1,9 +1,9 @@
 """The Cartan step's integer z-polynomial kernel against ``ae_dot``.
 
-`patching._combine` computes base - sum L * R for matrices of t-coefficients
-held as integer z-polynomials (one denominator, a numerator per slot and
-coordinate).  The law: on the same precision-1 elements it equals
-base - sum ae_dot, entry by entry.  Drawn over Q and Q(i), two to five
+`patching._combine` computes base - sum L * R for t-coefficients of whole
+matrices, each held as one integer z-polynomial (one denominator, a
+numerator per entry, slot and coordinate).  The law: on the same
+precision-1 elements it equals base - sum ae_dot, entry by entry.  Drawn over Q and Q(i), two to five
 centers (integer or not), any chart, z-degree up to 6, so that the
 products hit the f0 slot, equal indices and cross indices, with unequal
 denominators and zero entries, bases and products.
@@ -16,21 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchalg.analytic import AnalyticElement, ae_dot, random_element
-from patchalg.patching import _coefficient, _combine
+from patchalg.patching import PatchMatrix, _coefficient, _combine
 from patchalg.scalars import Scalar
 from patchalg.series import TruncSeries
 from test_rebase_props import QI, configurations
 
 
-def _element(cfg, chart, x) -> AnalyticElement:
-    """A coefficient (den, comps) as a precision-1 element."""
+def _element(cfg, chart, x, r, c) -> AnalyticElement:
+    """Entry (r, c) of a coefficient (den, comps) as a precision-1 element."""
     if x is None:
         return AnalyticElement.zero(cfg, chart, 1)
     den, comps = x
-    slots = {s for c in comps for s in c}
+    comps = [{s: v for (i, j, s), v in comp.items() if (i, j) == (r, c)} for comp in comps]
+    slots = {s for comp in comps for s in comp}
 
     def series(slot):
-        return TruncSeries(cfg.field, 1, den, [[c.get(slot, 0)] for c in comps])
+        return TruncSeries(cfg.field, 1, den, [[comp.get(slot, 0)] for comp in comps])
 
     return AnalyticElement(cfg, chart, series(None),
                            {s: series(s) for s in slots if s is not None})
@@ -63,8 +64,9 @@ def kernel_inputs(draw):
     return cfg, chart, base, products
 
 
-def _coefficients(mat):
-    return tuple(tuple(_coefficient(x, 0) for x in row) for row in mat)
+def _coefficient0(chart, mat):
+    """The t^0 coefficient of mat; None, the zero matrix, if it is zero."""
+    return _coefficient(PatchMatrix(mat, chart), 0)
 
 
 @settings(max_examples=80)
@@ -72,13 +74,16 @@ def _coefficients(mat):
 def test_kernel_equals_ae_dot(inp):
     cfg, chart, base, products = inp
     n = len(products[0][0])
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    pairs = []
     for L, R in products:
-        for x in [x for row in L + R for x in row]:
-            assert _element(cfg, chart, _coefficient(x, 0)) == x
-    got = _combine(cfg, None if base is None else _coefficients(base),
-                   [(_coefficients(L), _coefficients(R)) for L, R in products])
-    for r in range(n):
-        for c in range(n):
-            want = ae_dot([(L[r][k], R[k][c]) for L, R in products for k in range(n)])
-            want = -want if base is None else base[r][c] - want
-            assert _element(cfg, chart, None if got is None else got[r][c]) == want
+        x, y = _coefficient0(chart, L), _coefficient0(chart, R)
+        for M, z in ((L, x), (R, y)):
+            assert all(_element(cfg, chart, z, r, c) == M[r][c] for r, c in cells)
+        if x is not None and y is not None:
+            pairs.append((x, y))
+    got = _combine(cfg, None if base is None else _coefficient0(chart, base), pairs)
+    for r, c in cells:
+        want = ae_dot([(L[r][k], R[k][c]) for L, R in products for k in range(n)])
+        want = -want if base is None else base[r][c] - want
+        assert _element(cfg, chart, got, r, c) == want
