@@ -718,18 +718,6 @@ class AnalyticElement:
             {kn: s.shift_down(d) for kn, s in self.zc.items()},
         )
 
-    # -- the t^0 layer -------------------------------------------------------------
-
-    def t0_content(self) -> tuple[Scalar, dict]:
-        """Constant term and z-polynomial of the reduction mod t."""
-        const = self.f0.coeff(0)
-        zpoly = {}
-        for (k, n), s in self.zc.items():
-            c = s.coeff(0)
-            if not c.is_zero():
-                zpoly[(k, n)] = c
-        return const, zpoly
-
 
 # ---------------------------------------------------------------------------
 # basic element factories
@@ -1052,92 +1040,51 @@ def membership(f: AnalyticElement, J: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p: list, q: list, field: FieldDescriptor) -> list:
-    out = [Scalar.zero(field)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _poly_divide_root(p: list, c: Scalar) -> Optional[list]:
-    """Synthetic division of p by (s - c); None when c is not a root."""
-    field = c.field
-    out = [Scalar.zero(field)] * (len(p) - 1)
-    carry = Scalar.zero(field)
-    for i in range(len(p) - 1, 0, -1):
-        carry = p[i] + carry * c if i < len(p) - 1 else p[i]
-        out[i - 1] = carry
-    rem = p[0] + carry * c
-    return None if not rem.is_zero() else out
-
-
 def _unit_factorization(f: AnalyticElement):
     """Recognize f mod t as c * prod (s - c_l)/(s - c_k) over the centers.
 
     Returns (c, [(k, l), ...]) with each pair standing for a factor
     1 + (c_k - c_l) z_k whose inverse is 1 + (c_l - c_k) z_l.  Raises
     UnitNotRecognized otherwise.
+
+    The t^0 layer g is a rational function of s with poles only at the
+    centers and a numerator of the same degree, so c is its constant term.
+    Each step takes the smallest pole index k and multiplies g, mod t, by
+    (s - c_k)/(s - c_l) = 1 + (c_l - c_k) z_l (``chart_ratio_unit``) for the
+    smallest l that lowers g's pole order, the sum of its top z-powers.  The
+    order drops exactly when g vanishes at c_l, so the pairs are the sorted
+    poles zipped with the sorted zeros; when no l drops it, g has a zero
+    away from the centers.
     """
     cfg = f.cfg
-    field = cfg.field
-    const, zpoly = f.t0_content()
+    g = f.truncate(1)
+    const = g.f0.coeff(0)
     if const.is_zero():
         raise UnitNotRecognized(
             "reduction mod t has no constant part; not in the recognized unit classes"
         )
-    if not zpoly:
-        return const, []
-    # clear denominators: multiply by prod_k (s - c_k)^{d_k}
-    degs: dict = {}
-    for (k, n) in zpoly:
-        degs[k] = max(degs.get(k, 0), n)
-    denom_poly = [Scalar.one(field)]
-    for k, d in sorted(degs.items()):
-        lin = [-cfg.centers[k], Scalar.one(field)]
-        for _ in range(d):
-            denom_poly = _poly_mul(denom_poly, lin, field)
-    numer = [const * c for c in denom_poly]
-    for (k, n), c in zpoly.items():
-        partial = [Scalar.one(field)]
-        for kk, d in sorted(degs.items()):
-            e = d - n if kk == k else d
-            lin = [-cfg.centers[kk], Scalar.one(field)]
-            for _ in range(e):
-                partial = _poly_mul(partial, lin, field)
-        for i, a in enumerate(partial):
-            numer[i] = numer[i] + c * a
-    while len(numer) > 1 and numer[-1].is_zero():
-        numer.pop()
-    if len(numer) - 1 != len(denom_poly) - 1:
-        raise UnitNotRecognized("pole/zero pattern off balance at t^0")
-    # strip the constant: numer should factor over the centers with lead = const
-    roots = []
-    poly = [c / const for c in numer]
-    for idx in cfg.indices:
-        while len(poly) > 1:
-            q = _poly_divide_root(poly, cfg.centers[idx])
-            if q is None:
+
+    def pole_order(g: AnalyticElement) -> int:
+        top: dict = {}
+        for k, n in g.zc:
+            top[k] = max(top.get(k, 0), n)
+        return sum(top.values())
+
+    order = pole_order(g)
+    pairs = []
+    for _ in range(order):
+        k = min(g.support())
+        for l in cfg.indices:
+            h = g * chart_ratio_unit(cfg, l, k, 1)
+            if pole_order(h) < order:
                 break
-            poly = q
-            roots.append(idx)
-    if len(poly) != 1 or not poly[0].is_one():
-        raise UnitNotRecognized(
-            "t^0 part has a zero or pole away from the configured centers"
-        )
-    denom_idx = []
-    for k, d in sorted(degs.items()):
-        denom_idx += [k] * d
-    # cancel matched zero/pole pairs at the same center
-    for idx in list(roots):
-        if idx in denom_idx and idx in roots:
-            roots.remove(idx)
-            denom_idx.remove(idx)
-    if len(roots) != len(denom_idx):
-        raise UnitNotRecognized("unbalanced pole/zero multiplicities at t^0")
-    return const, list(zip(denom_idx, roots))
+        else:
+            raise UnitNotRecognized(
+                "t^0 part has a zero or pole away from the configured centers"
+            )
+        pairs.append((k, l))
+        g, order = h, order - 1
+    return const, pairs
 
 
 def unit_invert(f):
@@ -1179,8 +1126,7 @@ def unit_invert(f):
         g = g * invf
         inv_parts.append(invf)
     g = g.scale(const.inverse())
-    c2, z2 = g.t0_content()
-    if z2 or not c2.is_one():
+    if not g.truncate(1).is_one():
         raise UnitNotRecognized("recognizer postcondition failed: residual not 1 mod t")
     one = AnalyticElement.one(f.cfg, f.chart, f.precision)
     out = newton_inverse(g, one, one, f.precision).scale(const.inverse())
@@ -1326,8 +1272,8 @@ def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",
     body = AnalyticElement(
         cfg, j, u[0], {(j, n): u[n] for n in range(1, d)}
     )
-    c0, zp = body.t0_content()
-    if zp or c0.is_zero():
+    b0 = body.truncate(1)
+    if b0.zc or b0.f0.is_zero():
         raise ArithmeticError("cofactor failed its unit check (internal bug)")
     pt = PrimePoint(cfg, j, lam, label, ring_support)
     return pt, LocalizedElement(body, 0)

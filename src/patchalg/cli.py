@@ -12,7 +12,7 @@ import cProfile
 import json
 import pstats
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .analytic import Configuration
@@ -31,6 +31,29 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list_of(v, types) -> bool:
+    return isinstance(v, list) and all(isinstance(x, types) and not isinstance(x, bool) for x in v)
+
+
+# key: (accepts the value, what the value must be); a key whose default is
+# None also takes None, which means the default
+CONFIG_TYPES = {
+    "field": (lambda v: isinstance(v, dict) and set(v) <= {"kind", "m"} and _is_int(v.get("m", 0)),
+              'an object with the keys "kind" and an integer "m"'),
+    "centers": (lambda v: _is_list_of(v, (str, int, float)), "an array of strings or numbers"),
+    "scenario": (lambda v: isinstance(v, dict), "an object"),
+    "seed": (_is_int, "an integer"),
+    "suites": (lambda v: _is_list_of(v, str), "an array of strings"),
+    "output": (lambda v: isinstance(v, str), "a string"),
+    "tamper_b": (lambda v: isinstance(v, bool), "true or false"),
+    "verbose": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class RunConfig:
     field: dict = None
@@ -44,6 +67,12 @@ class RunConfig:
     verbose: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in CONFIG_TYPES and not (v is None and f.default is None):
+                ok, what = CONFIG_TYPES[f.name]
+                if not ok(v):
+                    raise ConfigError(f"{f.name} must be {what}, not {v!r}")
         if self.field is None:
             self.field = {"kind": "rationals"}
         if self.centers is None:
@@ -56,9 +85,9 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {"field", "centers", "precision", "scenario", "seed", "suites",
-                 "output", "tamper_b", "verbose"}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError("the config must be a JSON object")
+        extra = set(d) - {f.name for f in fields(RunConfig)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         return RunConfig(**d)
@@ -67,7 +96,7 @@ class RunConfig:
         """Validate and build the Configuration; ConfigError on any problem."""
         try:
             fd = FieldDescriptor(self.field.get("kind", "rationals"), self.field.get("m", 0))
-        except (FieldError, AttributeError) as exc:
+        except FieldError as exc:
             raise ConfigError(f"bad field descriptor: {exc}") from exc
         if not isinstance(self.precision, int) or self.precision < 4:
             raise ConfigError("precision must be an integer >= 4")
@@ -163,6 +192,10 @@ def main(argv=None) -> int:
             rc.tamper_b = True
         if args.verbose:
             rc.verbose = True
+        # reject the config, then an unwritable output path, before any suite runs
+        rc.resolve()
+        if rc.output:
+            open(rc.output, "a", encoding="utf-8").close()
         if args.profile:
             prof = cProfile.Profile()
             report, code = prof.runcall(run, rc)

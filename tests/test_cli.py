@@ -141,3 +141,36 @@ def test_default_config_all_suites_pass():
     assert report["summary"]["skip"] == 0
     suites_seen = {r["suite"] for r in report["records"]}
     assert suites_seen == {"rings", "split", "intersect", "cartan", "kummer", "certificate"}
+
+
+@pytest.mark.parametrize("data", [
+    5,
+    {"centers": 5},
+    {"centers": "012"},
+    {"centers": [True, 1]},
+    {"scenario": [1]},
+    {"suites": 3},
+    {"suites": ["certificate", 1]},
+    {"seed": "abc"},
+    {"seed": True},
+    {"seed": None},
+    {"tamper_b": "false"},
+    {"verbose": 1},
+    {"output": 5},
+    {"field": "rationals"},
+    {"field": {"kind": "rationals", "n": 4}},
+    {"field": {"kind": "cyclotomic", "m": "4"}},
+    {"field": {"kind": "cyclotomic", "m": 4.0}},
+])
+def test_main_wrongly_typed_config_exit_2(tmp_path, capsys, data):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_unwritable_output_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    assert main(["--suite", "certificate", "--output", str(out_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out_path.parent.exists()
