@@ -347,8 +347,7 @@ class _TransferTable:
 
 
 # ---------------------------------------------------------------------------
-# series accumulator and lazy streams (the product kernel, polynomial
-# embeddings, the Cartan lift, prime points)
+# series accumulator and lazy streams (the product kernel and prime points)
 # ---------------------------------------------------------------------------
 
 
@@ -400,10 +399,6 @@ class _SeriesAcc:
             self.prec,
             self._merge_den(x.den * y.den),
         )
-
-    def add_scaled(self, ts: TruncSeries, s: Scalar) -> None:
-        nums, sden = scalar_ints(s.coords)
-        self.add_ints(ts, nums, sden)
 
     def add_ints(self, ts, nums, sden: int) -> None:
         """self += ts * nums/sden for a TruncSeries or _SeriesAcc ts."""
@@ -542,13 +537,14 @@ class AnalyticElement:
         prec = min(self.precision, g.precision)
         return self.truncate(prec) == g.truncate(prec)
 
+    def _map(self, fn) -> "AnalyticElement":
+        """The element with fn applied to every stored series, in this chart."""
+        return AnalyticElement(self.cfg, self.chart, fn(self.f0), {kn: fn(s) for kn, s in self.zc.items()})
+
     def truncate(self, prec: int) -> "AnalyticElement":
         if prec >= self.precision:
             return self
-        return AnalyticElement(
-            self.cfg, self.chart, self.f0.truncate(prec),
-            {kn: s.truncate(prec) for kn, s in self.zc.items()},
-        )
+        return self._map(lambda s: s.truncate(prec))
 
     def widen(self, prec: int) -> "AnalyticElement":
         """The same data read mod t^prec, prec >= precision: every series is
@@ -557,12 +553,8 @@ class AnalyticElement:
         data holds."""
         if prec <= self.precision:
             return self
-
-        def widen(s: TruncSeries) -> TruncSeries:
-            return TruncSeries(s.field, prec, s.den, [c + (0,) * (prec - s.prec) for c in s._c])
-
-        return AnalyticElement(
-            self.cfg, self.chart, widen(self.f0), {kn: widen(s) for kn, s in self.zc.items()}
+        return self._map(
+            lambda s: TruncSeries(s.field, prec, s.den, [c + (0,) * (prec - s.prec) for c in s._c])
         )
 
     def __repr__(self) -> str:
@@ -596,24 +588,17 @@ class AnalyticElement:
         return AnalyticElement(self.cfg, self.chart, self.f0 - other.f0, zc)
 
     def __neg__(self) -> "AnalyticElement":
-        return AnalyticElement(
-            self.cfg, self.chart, -self.f0, {kn: -s for kn, s in self.zc.items()}
-        )
+        return self._map(TruncSeries.__neg__)
 
     def scale(self, s) -> "AnalyticElement":
         s = self.cfg.scalar(s)
         if s.field != self.cfg.field:
             raise FieldError("scalar over a different field")
         nums, sden = scalar_ints(s.coords)
-        return AnalyticElement(
-            self.cfg, self.chart, self.f0.scale_ints(nums, sden),
-            {kn: c.scale_ints(nums, sden) for kn, c in self.zc.items()},
-        )
+        return self._map(lambda c: c.scale_ints(nums, sden))
 
     def scale_series(self, s: TruncSeries) -> "AnalyticElement":
-        return AnalyticElement(
-            self.cfg, self.chart, self.f0 * s, {kn: c * s for kn, c in self.zc.items()}
-        )
+        return self._map(lambda c: c * s)
 
     def __mul__(self, other: "AnalyticElement") -> "AnalyticElement":
         other = self._aligned(other)
@@ -706,17 +691,11 @@ class AnalyticElement:
         if e == 0:
             return self
         if e > 0:
-            return AnalyticElement(
-                self.cfg, self.chart, self.f0.shift_up(e),
-                {kn: s.shift_up(e) for kn, s in self.zc.items()},
-            )
+            return self._map(lambda s: s.shift_up(e))
         d = -e
         if self.valuation() < d:
             raise NonUnitError(f"element not divisible by t^{d}")
-        return AnalyticElement(
-            self.cfg, self.chart, self.f0.shift_down(d),
-            {kn: s.shift_down(d) for kn, s in self.zc.items()},
-        )
+        return self._map(lambda s: s.shift_down(d))
 
 
 # ---------------------------------------------------------------------------
@@ -832,37 +811,20 @@ def t_element(cfg: Configuration, chart: int, prec: Optional[int] = None) -> Ana
 def embed_xy(cfg: Configuration, poly: dict, chart: int, prec: Optional[int] = None) -> AnalyticElement:
     """Canonical form of a polynomial in X, Y.
 
-    poly maps (a, b) -> coefficient for the monomial X^a Y^b.  Uses
-    Y = z_j t and X = (1 + c_j z_j) t.
+    poly maps (a, b) -> coefficient for the monomial X^a Y^b, and the sum
+    of the monomials is taken with the ring's own product, from
+    Y = z_j t and X = (1 + c_j z_j) t = t + c_j Y.
     """
     P = prec or cfg.precision
-    cj = cfg.centers[chart]
-    acc0 = _SeriesAcc(cfg.field, P)
-    acc: dict = {}
-    cj_pow = [Scalar.one(cfg.field)]
+    t = t_element(cfg, chart, P)
+    Y = z_generator(cfg, chart, chart, P) * t
+    X = t + Y.scale(cfg.centers[chart])
+    out = AnalyticElement.zero(cfg, chart, P)
     for (a, b), coef in poly.items():
         if a < 0 or b < 0:
             raise ValueError("monomial exponents must be non-negative")
-        coef = cfg.scalar(coef)
-        if coef.is_zero() or a + b >= P:
-            continue
-        while len(cj_pow) <= a:
-            cj_pow.append(cj_pow[-1] * cj)
-        tpow = TruncSeries.t_power(cfg.field, a + b, P)
-        for l in range(a + 1):
-            c = coef * Scalar.of(cfg.field, comb(a, l)) * cj_pow[l]
-            if c.is_zero():
-                continue
-            deg = l + b
-            if deg == 0:
-                acc0.add_scaled(tpow, c)
-            else:
-                slot = acc.get((chart, deg))
-                if slot is None:
-                    slot = acc[(chart, deg)] = _SeriesAcc(cfg.field, P)
-                slot.add_scaled(tpow, c)
-    zc = {kn: a.result() for kn, a in acc.items() if not a.is_zero()}
-    return AnalyticElement(cfg, chart, acc0.result(), zc)
+        out = out + (X ** a * Y ** b).scale(coef)
+    return out
 
 
 def chart_ratio_unit(cfg: Configuration, j2: int, j: int, prec: Optional[int] = None) -> AnalyticElement:
@@ -1307,7 +1269,7 @@ def prime_point_valuation(x, pt: PrimePoint) -> int:
     for d in range(body.precision):
         acc = _SeriesAcc(field, prec)
         if d == 0:
-            acc.add_scaled(body.f0, Scalar.one(field))
+            acc.add_ints(body.f0, (1,) + (0,) * (field.dim - 1), 1)
         for img, s, ts in images:
             c = img[d]
             if not c.is_zero():

@@ -148,8 +148,6 @@ class Scenario:
     t_bv: BivarSeries
     pt_r: PrimePoint
     pt_rp: PrimePoint
-    unit_r: LocalizedElement
-    unit_rp: LocalizedElement
 
     @property
     def full_degree(self) -> int:
@@ -227,8 +225,8 @@ def build_scenario(cfg: Configuration, i: int, j: int, k: int, q: int, qprime: i
         raise ScenarioError("internal identity a*u2 = r' failed (bug)")
 
     ring = frozenset(cfg.indices) - {i}
-    pt_r, unit_r = weierstrass_prepare_linear(r_el, "r", ring_support=ring)
-    pt_rp, unit_rp = weierstrass_prepare_linear(rp_el, "r'", ring_support=ring)
+    pt_r, _ = weierstrass_prepare_linear(r_el, "r", ring_support=ring)
+    pt_rp, _ = weierstrass_prepare_linear(rp_el, "r'", ring_support=ring)
     for pt, name in ((pt_r, "r"), (pt_rp, "r'")):
         if prime_point_valuation(u2_el, pt) != 0:
             raise ScenarioError(f"u2 is not a unit along {name} (degenerate centers)")
@@ -241,7 +239,7 @@ def build_scenario(cfg: Configuration, i: int, j: int, k: int, q: int, qprime: i
     return Scenario(
         cfg, i, j, k, q, qprime,
         a_el, b_el, r_el, rp_el, u2_el, f_bv, g_bv, t_bv,
-        pt_r, pt_rp, unit_r, unit_rp,
+        pt_r, pt_rp,
     )
 
 

@@ -156,8 +156,12 @@ class PatchMatrix:
     def __sub__(self, other: "PatchMatrix") -> "PatchMatrix":
         return self._entrywise(other, operator.sub)
 
+    def _map(self, fn) -> "PatchMatrix":
+        """The matrix of fn applied to every entry, in this chart."""
+        return PatchMatrix([[fn(x) for x in row] for row in self.rows], self.chart)
+
     def __neg__(self) -> "PatchMatrix":
-        return PatchMatrix([[-x for x in row] for row in self.rows], self.chart)
+        return self._map(operator.neg)
 
     def __mul__(self, other: "PatchMatrix") -> "PatchMatrix":
         """Each entry is one ``localized_dot`` over k, zero entries included,
@@ -171,13 +175,10 @@ class PatchMatrix:
         )
 
     def scale(self, s) -> "PatchMatrix":
-        return PatchMatrix([[x.scale(s) for x in row] for row in self.rows], self.chart)
+        return self._map(lambda x: x.scale(s))
 
     def shift_t(self, e: int) -> "PatchMatrix":
-        return PatchMatrix(
-            [[LocalizedElement(x.body, x.tshift + e) for x in row] for row in self.rows],
-            self.chart,
-        )
+        return self._map(lambda x: LocalizedElement(x.body, x.tshift + e))
 
     def det(self) -> LocalizedElement:
         """Exact determinant (desk-scale dimensions), one expansion ``_det``."""
@@ -569,7 +570,7 @@ def _density_step(adj: PatchMatrix, u_body: AnalyticElement, e: int) -> PatchMat
         f = u_inv * x.body.truncate(q)
         return LocalizedElement(f.widen(min(u_body.precision, x.body.precision)), 0)
 
-    return PatchMatrix([[entry(x) for x in row] for row in adj.rows], adj.chart)
+    return adj._map(entry)
 
 
 def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
@@ -585,17 +586,13 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
     read off the adjugate that the step builds anyway (``det_by``).
     """
     cfg = b.cfg
-    chart = b.chart
     J = frozenset(cfg.indices) - {i}
     if not J:
         raise FactorizationError("need at least two centers to patch")
 
     # clear t-denominators: b_hat = t^{e0} b has plain ring entries
     e0 = max(0, -min(x.tshift for row in b.rows for x in row))
-    b_hat = PatchMatrix(
-        [[LocalizedElement(x.body.shift_t(x.tshift + e0), 0) for x in row] for row in b.rows],
-        chart,
-    )
+    b_hat = b._map(lambda x: LocalizedElement(x.body.shift_t(x.tshift + e0), 0))
 
     adj = b_hat.adjugate()
     d = b_hat.det_by(adj)
@@ -613,10 +610,7 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
         ) from exc
     prod = b_hat * a0
     try:
-        ba = PatchMatrix(
-            [[LocalizedElement(x.body.shift_t(x.tshift - e), 0) for x in row] for row in prod.rows],
-            chart,
-        )
+        ba = prod._map(lambda x: LocalizedElement(x.body.shift_t(x.tshift - e), 0))
     except NonUnitError as exc:
         raise FactorizationError(f"normalized product not divisible by t^{e}: {exc}") from exc
     if ba.deviation().min_valuation() < 1:
@@ -638,10 +632,7 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
         raise FactorizationError(
             f"restricted pipeline: cut determinant outside recognized classes ({exc})"
         ) from exc
-    W = PatchMatrix(
-        [[LocalizedElement(u0_inv * x.body, x.tshift) for x in row] for row in adj0.rows],
-        chart,
-    )
+    W = adj0._map(lambda x: LocalizedElement(u0_inv * x.body, x.tshift))
 
     central = -e0 + e - e_p
     sm = _scalar_monomial(W)
@@ -649,9 +640,7 @@ def gl_factor(b: PatchMatrix, i: int) -> FactorizationResult:
         # W is a central t-monomial times a unit: the monomial goes left
         w_shift, w_unit = sm
         central += w_shift
-        b2 = PatchMatrix(
-            [[x * LocalizedElement(w_unit, 0) for x in row] for row in cart.b2.rows], chart
-        )
+        b2 = cart.b2._map(lambda x: x * LocalizedElement(w_unit, 0))
     else:
         b2 = cart.b2 * W
     b1 = cart.b1.shift_t(central)

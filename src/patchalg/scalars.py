@@ -92,7 +92,10 @@ def _coerce_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise FieldError(f"cannot interpret {v!r} as a rational number")
 
 

@@ -57,8 +57,10 @@ class RegularityError(ArithmeticError):
 class TruncSeries:
     """K[[t]] mod t^prec with exact coefficients.
 
-    >>> s = TruncSeries.from_scalars(QQ_like, [1, -1], 4)   # 1 - t
+    >>> from patchalg.scalars import QQ
+    >>> s = TruncSeries.from_scalars(QQ, [1, -1], 4)   # 1 - t
     >>> s.invert_unit().coeffs   # 1 + t + t^2 + t^3
+    (1, 1, 1, 1)
     """
 
     __slots__ = ("field", "prec", "den", "_c", "_z", "_vt")

@@ -148,6 +148,7 @@ def test_default_config_all_suites_pass():
     {"centers": 5},
     {"centers": "012"},
     {"centers": [True, 1]},
+    {"centers": ["1/0", 1, 2]},
     {"scenario": [1]},
     {"suites": 3},
     {"suites": ["certificate", 1]},

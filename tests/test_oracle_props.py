@@ -8,8 +8,9 @@ largest magnitude (the packed slots' worst case), unequal denominators and
 zero operands.  ``oracle_of_element`` must equal the tree walk of
 ``oracle_expand`` over ``source_of`` in every chart, for two to five
 centers and N up to 24, and for elements whose every coefficient has the
-same largest magnitude.  A negative control perturbs one coefficient of a
-product and requires the oracle to see it.
+same largest magnitude.  ``embed_xy`` of a polynomial in X, Y must expand
+to the polynomial itself in every chart.  A negative control perturbs one
+coefficient of a product and requires the oracle to see it.
 """
 
 import random
@@ -17,8 +18,10 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchalg.analytic import AnalyticElement, Configuration, random_element
-from patchalg.oracle import OracleCache, OracleSeries, oracle_expand, oracle_of_element, source_of
+from patchalg.analytic import AnalyticElement, Configuration, embed_xy, random_element
+from patchalg.oracle import (
+    OracleCache, OracleSeries, const, oracle_expand, oracle_of_element, source_of, xvar, yvar,
+)
 from patchalg.scalars import QQ, Scalar
 from test_rebase_props import QI, configurations
 
@@ -125,6 +128,28 @@ def test_expansion_of_extreme_elements():
                     for j in cfg.indices:
                         assert oracle_of_element(f, j, cache) == oracle_expand(
                             source_of(f), cfg, j, 5)
+
+
+@st.composite
+def polynomials(draw):
+    """(configuration, {(a, b): integer coefficient of X^a Y^b} of total
+    degree <= 4, the chart to embed it in)."""
+    cfg = draw(configurations())
+    monomials = [(a, b) for a in range(5) for b in range(5 - a)]
+    poly = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-9, 9)))
+    return cfg, poly, draw(st.sampled_from(list(cfg.indices)))
+
+
+@settings(max_examples=40)
+@given(polynomials())
+def test_embed_xy_expands_to_its_polynomial(cpj):
+    cfg, poly, j = cpj
+    f = embed_xy(cfg, poly, j)
+    zdepth = 5  # a polynomial of total degree <= 4 has z-degree <= 4 in every chart
+    cache = OracleCache(cfg, zdepth)
+    expr = sum((const(c) * xvar() ** a * yvar() ** b for (a, b), c in poly.items()), const(0))
+    for chart in cfg.indices:
+        assert oracle_of_element(f, chart, cache) == oracle_expand(expr, cfg, chart, zdepth)
 
 
 @st.composite
