@@ -383,12 +383,15 @@ class _SeriesAcc:
         return new_den // tden
 
     def add_product(self, x: TruncSeries, y: TruncSeries,
-                    xt: Optional[tuple] = None, yt: Optional[tuple] = None) -> None:
-        """self += x*y mod t^prec; both factors must be at least as precise.
+                    xt: Optional[tuple] = None, yt: Optional[tuple] = None,
+                    scale: int = 1) -> None:
+        """self += scale*x*y mod t^prec; both factors must be at least as
+        precise.
 
         xt and yt are the factors' ``intvec.terms`` (the nonzero terms of
         each component, listed separately), for a caller that multiplies
-        one series by many and lists its terms once.
+        one series by many and lists its terms once.  The integer scale is
+        2 for the off-diagonal slot pairs of a square (``ae_dot``).
         """
         if x.prec < self.prec or y.prec < self.prec:
             raise ValueError("factor less precise than the accumulator")
@@ -397,7 +400,7 @@ class _SeriesAcc:
             terms(x._c) if xt is None else xt,
             terms(y._c) if yt is None else yt,
             self.prec,
-            self._merge_den(x.den * y.den),
+            self._merge_den(x.den * y.den) * scale,
         )
 
     def add_ints(self, ts, nums, sden: int) -> None:
@@ -723,6 +726,15 @@ def ae_dot(pairs) -> AnalyticElement:
     to (a, b - 1) and beta times itself to (a - 1, b), where (a, 0) is the
     slot z_i^a and (0, b) the slot z_j^b.  That is two accumulator adds per
     cell, where reducing each product by itself would take a + b.
+
+    A pair whose two factors are one object is a square: its terms are
+    listed once, and each unordered slot pair is multiplied once, the
+    off-diagonal ones at scale 2, so a factor of m slots costs m(m+1)/2
+    slot products instead of m^2 (Brent and Zimmermann, "Modern Computer
+    Arithmetic", 2010, 1.3.6).  The routing is symmetric in the two slots,
+    so a pair and its mirror land in one accumulator.  Identity is taken
+    before the chart alignment, since ``rebase`` returns a fresh object,
+    and a square is rebased once.
     """
     cfg = pairs[0][0].cfg
     chart = pairs[0][0].chart
@@ -730,7 +742,7 @@ def ae_dot(pairs) -> AnalyticElement:
     def align(h: AnalyticElement) -> AnalyticElement:
         return h if h.chart == chart else h.rebase(chart)
 
-    pairs = [(align(f), align(g)) for f, g in pairs]
+    pairs = [(align(f),) * 2 if f is g else (align(f), align(g)) for f, g in pairs]
     prec = min(min(f.precision, g.precision) for f, g in pairs)
     acc0 = _SeriesAcc(cfg.field, prec)
     acc: dict = {}
@@ -744,10 +756,10 @@ def ae_dot(pairs) -> AnalyticElement:
 
     for f, g in pairs:
         terms_g = [(k2, n2, s2, s2.vt(), terms(s2._c)) for k2, n2, s2 in g._term_list()]
-        for k1, n1, s1 in f._term_list():
-            v1 = s1.vt()
-            t1 = terms(s1._c)
-            for k2, n2, s2, v2, t2 in terms_g:
+        square = f is g
+        for i, (k1, n1, s1) in enumerate(f._term_list()):
+            v1, t1 = terms_g[i][3:] if square else (s1.vt(), terms(s1._c))
+            for d, (k2, n2, s2, v2, t2) in enumerate(terms_g[i:] if square else terms_g):
                 if v1 + v2 >= prec:
                     continue
                 if k1 is None and k2 is None:
@@ -760,7 +772,7 @@ def ae_dot(pairs) -> AnalyticElement:
                     a = get(grids.setdefault((k1, k2), {}), (n1, n2))
                 else:
                     a = get(grids.setdefault((k2, k1), {}), (n2, n1))
-                a.add_product(s1, s2, t1, t2)
+                a.add_product(s1, s2, t1, t2, 2 if square and d else 1)
     for (i, j), grid in grids.items():
         w = {kn: (nums, den) for kn, nums, den in cfg.rewrite_ints(i, 1, j, 1)}
         alpha, beta = w[(i, 1)], w[(j, 1)]

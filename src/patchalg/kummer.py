@@ -25,6 +25,7 @@ valuation.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -444,6 +445,12 @@ class KummerElement:
         trips the check: with zeta = -1 in degree 4, sigma^2 is the
         identity, the mixed pairs of the first step get weight 2 and the odd
         coordinates do not vanish.
+
+        Each step is mostly a sum of squares c_n^2: ``_coordinate_products``
+        forms a diagonal pair as (c_n * c_n) * w * rad * u2^lift, square
+        first, unless its right factor serves another pair too, and
+        ``ae_dot`` multiplies each slot pair of a square once.  A dense
+        degree-4 norm takes 10 ``ae_dot`` calls and 225 series products.
         """
         ext = self.ext
         q = ext.degree
@@ -498,27 +505,56 @@ def _coordinate_products(ext, left: Sequence, right: Sequence, groups: list) -> 
     coordinate it enters at t^w, as it bounds the sum with ``*`` and ``+``.
     The entries of a coordinate are brought to the largest u2 power among
     them: an entry below it has its right factor times u2 to the
-    difference; ``localized_dot`` aligns their t-shifts.  Each right factor
-    is built once per call, keyed (n2, rad, lift), and shared by every
-    entry that uses it; an entry scales it by its weight w unless w is 1.
+    difference, its lift; ``localized_dot`` aligns their t-shifts.  Each
+    right factor right[n2] * rad * u2^lift is built once per call, keyed
+    (n2, rad, lift), and shared by every entry that uses it; an entry
+    scales it by its weight w unless w is 1.
+
+    A diagonal entry of a square (left is right, n1 = n2) whose right
+    factor no other entry uses is taken as (c * c) * F instead, with c =
+    left[n1]: the square is formed first, so ``ae_dot`` multiplies each of
+    its slot pairs once, and the small factor F = rad * u2^lift (1 to 5
+    slots), built once per (rad, lift), enters the coordinate's
+    ``localized_dot`` as the right factor, scaled by w.  Both forms claim
+    the least window among c, rad and u2 (those that enter) and the same
+    t-shift, so the result is the same bit for bit.
     """
-    built: dict = {}  # (n2, rad, lift) -> right[n2] * rad * u2^lift
-    out = []
+    rows = []  # per group: None, or (top, [(n1, n2, w, rad, lift)])
     for group in groups:
         if not group:
+            rows.append(None)
+            continue
+        powers = [left[n1].u2pow + right[n2].u2pow + (rad.u2pow if rad else 0)
+                  for n1, n2, _w, rad in group]
+        top = max(powers)
+        rows.append((top, [(n1, n2, w, rad, top - p) for (n1, n2, w, rad), p in zip(group, powers)]))
+    uses = Counter((n2, rad, lift) for row in rows if row for _n1, n2, _w, rad, lift in row[1])
+    built: dict = {}  # (n2, rad, lift) -> right[n2] * rad * u2^lift; (rad, lift) -> F
+
+    def build(key, base: LocalizedElement, rad, lift) -> LocalizedElement:
+        g = built.get(key)
+        if g is None:
+            g = base if rad is None else base * rad.elem
+            g = built[key] = _Coord(g).lifted(lift, ext.u2)
+        return g
+
+    if left is right:  # F's base: one as precise as every coordinate, so it cuts no window
+        c0 = left[0].elem
+        one = LocalizedElement(AnalyticElement.one(c0.cfg, c0.chart, max(c.elem.precision for c in left)))
+    out = []
+    for row in rows:
+        if row is None:
             out.append(ext.zero)
             continue
-        entries = [(n1, n2, w, rad, left[n1].u2pow + right[n2].u2pow + (rad.u2pow if rad else 0))
-                   for n1, n2, w, rad in group]
-        top = max(entry[4] for entry in entries)
+        top, entries = row
         factors = []
-        for n1, n2, w, rad, power in entries:
-            key = (n2, rad, top - power)
-            g = built.get(key)
-            if g is None:
-                g = right[n2].elem if rad is None else right[n2].elem * rad.elem
-                g = built[key] = _Coord(g).lifted(top - power, ext.u2)
-            factors.append((left[n1].elem, g if w.is_one() else g.scale(w)))
+        for n1, n2, w, rad, lift in entries:
+            c = left[n1].elem
+            if left is right and n1 == n2 and uses[n2, rad, lift] == 1:
+                c, g = c * c, build((rad, lift), one, rad, lift)
+            else:
+                g = build((n2, rad, lift), right[n2].elem, rad, lift)
+            factors.append((c, g if w.is_one() else g.scale(w)))
         out.append(_Coord(localized_dot(factors), top))
     return tuple(out)
 

@@ -1,11 +1,15 @@
 """Laws of the product ``ae_dot``, over random configurations.
 
 Q and Q(i), two to five centers (integer or not), precision 4 to 24,
-z-degree up to 8, and factors of any valuation.  The last test bounds the
-work of one product by counting series products and accumulator adds.
+z-degree up to 8, and factors of any valuation.  A square (a pair whose
+two factors are one object) must equal the product of two equal copies.
+The last test bounds the work of one product by counting series products
+and accumulator adds.
 """
 
 import random
+from functools import reduce
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +84,53 @@ def test_product_commutes_with_truncation(fg, data):
 def test_product_valuation_is_superadditive(fg):
     f, g = fg
     assert (f * g).valuation() >= f.valuation() + g.valuation()
+
+
+def copy_of(f):
+    """An element equal to f that is another object."""
+    return AnalyticElement(f.cfg, f.chart, f.f0, dict(f.zc))
+
+
+@st.composite
+def squares(draw):
+    """(f, g) from ``factors``: f is sometimes without its f0 slot, or a
+    zero known only mod t^w; g, moved to a chart other than f's, goes first
+    in a dot, so that f's square is rebased."""
+    f, g = draw(factors(2, max_zdeg=6))
+    cfg = f.cfg
+    shape = draw(st.sampled_from(["whole", "whole", "no f0", "zero"]))
+    if shape == "no f0":
+        f = AnalyticElement(cfg, f.chart, cfg.zero_series(f.precision), f.zc)
+    elif shape == "zero":
+        f = AnalyticElement.zero(cfg, f.chart, draw(st.integers(1, cfg.precision)))
+    if g.chart == f.chart:
+        g = g.rebase(draw(st.sampled_from([k for k in cfg.indices if k != f.chart])))
+    return f, g
+
+
+@settings(max_examples=60)
+@given(squares())
+def test_square_equals_the_product_of_copies(fg):
+    """``ae_dot`` multiplies each unordered slot pair of a square once, the
+    off-diagonal ones at scale 2: the result equals the product of two
+    equal copies in value, chart and precision, alone and after a pair in
+    another chart."""
+    f, g = fg
+    got, want = ae_dot([(f, f)]), ae_dot([(f, copy_of(f))])
+    assert got == want and got.precision == want.precision
+    got = ae_dot([(g, copy_of(g)), (f, f)])
+    want = ae_dot([(g, copy_of(g)), (f, copy_of(f))])
+    assert got == want and got.precision == want.precision
+    assert ae_dot([(g, g), (f, f)]) == want
+
+
+@settings(max_examples=40)
+@given(squares(), st.integers(2, 5))
+def test_power_equals_the_product_of_copies(fg, n):
+    f, _g = fg
+    want = reduce(mul, [copy_of(f) for _ in range(n)])
+    got = f ** n
+    assert got == want and got.precision == want.precision
 
 
 def test_cross_product_work_is_quadratic(monkeypatch):

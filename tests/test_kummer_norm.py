@@ -190,25 +190,38 @@ def test_dense_degree_four_norm_work(monkeypatch):
     """Two tower products over unordered coordinate pairs, one ``ae_dot`` per
     output coordinate whose pairs do not cancel.  For x * sigma^2(x) the
     pairs of odd sum have weight zero, so only coordinates 0 ((0,0), (1,3),
-    (2,2)) and 2 ((0,2), (1,1), (3,3)) are computed: two right factors times
-    the radicand (n2 = 2, 3), three times u2 (n2 = 0, 1, 2) and two
-    coordinates; for the second step on coordinates 0 and 2 ((0,0) and
-    (2,2); (0,2) cancels): one of each and one coordinate.  That is 10, and
-    the coordinates take 3 + 3 + 2 pairs; ordered pairs took 14 calls and
-    20 pairs, one product per coordinate pair 30 calls, and x * sigma(x) *
-    sigma^2(x) * sigma^3(x) takes 80."""
+    (2,2)) and 2 ((0,2), (1,1), (3,3)) are computed.  The diagonal pairs
+    whose right factor is their own are formed squares first: the squares
+    of coordinates 0, 1 and 2, each times the small factor u2 or the
+    radicand, which cost no product.  (3,3) shares the right factor
+    c3 * radicand with (1,3), so it is built once, and (0,2) takes c2 * u2.
+    With the two coordinates that is 7 calls; the second step, on
+    coordinates 0 and 2 ((0,0) and (2,2); (0,2) cancels), takes two squares
+    and one coordinate.  That is 10, and the coordinates take 3 + 3 + 2
+    pairs; ordered pairs took 14 calls and 20 pairs, one product per
+    coordinate pair 30 calls, and x * sigma(x) * sigma^2(x) * sigma^3(x)
+    takes 80.  The squares make 225 series products (``add_product``
+    calls), where building every right factor as c * radicand * u2^lift
+    made 285."""
     rng = random.Random(11)
     x = EXT[4].element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(4)])
     calls = []
-    real = analytic.ae_dot
+    products = []
+    real, add_product = analytic.ae_dot, analytic._SeriesAcc.add_product
 
     def counted(pairs):
         calls.append(len(pairs))
         return real(pairs)
 
+    def counted_product(*args, **kwargs):
+        products.append(1)
+        return add_product(*args, **kwargs)
+
     monkeypatch.setattr(analytic, "ae_dot", counted)
+    monkeypatch.setattr(analytic._SeriesAcc, "add_product", counted_product)
     got = x.norm()
     monkeypatch.undo()
     assert len(calls) <= 10
     assert sorted(n for n in calls if n > 1) == [2, 3, 3]
+    assert len(products) <= 225
     assert same_value(got, conjugate_product(x))

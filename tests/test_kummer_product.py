@@ -6,7 +6,9 @@ coordinates, radicand and unit u2 that carry u2 powers and t-shifts, some
 coordinates zero and some at a lower precision.  The reference multiplies
 every coordinate pair by itself, zeros included, and sums with
 ``_Coord.plus`` from each coordinate's first product; the two must agree
-bit for bit in value, u2 power and t-shift.
+bit for bit in value, u2 power and t-shift.  A square x * x, whose diagonal
+pairs are formed as (c * c) * F, must agree with the product of x and an
+equal copy, and so must a norm with a coordinate known only mod t^4.
 """
 
 import random
@@ -14,9 +16,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchalg.analytic import AnalyticElement, LocalizedElement, random_element
+from patchalg.analytic import AnalyticElement, Configuration, LocalizedElement, random_element
 from patchalg.kummer import KummerExtension, _Coord
-from patchalg.scalars import QQ
+from patchalg.scalars import QQ, cyclotomic_field
 from test_rebase_props import configurations
 
 
@@ -37,6 +39,24 @@ def pairwise_product(x, y):
                 prod = _Coord(prod.elem * rad.elem, prod.u2pow + rad.u2pow)
             out[n] = prod if out[n] is None else out[n].plus(prod, ext.u2)
     return out
+
+
+def copy_of(x):
+    """x with every coordinate another object of equal value, so that no
+    product with x is a square."""
+    coords = []
+    for c in x.coords:
+        b = c.elem.body
+        body = AnalyticElement(b.cfg, b.chart, b.f0, dict(b.zc))
+        coords.append(_Coord(LocalizedElement(body, c.elem.tshift), c.u2pow))
+    return x.ext.element(coords)
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.u2pow == w.u2pow
+        assert g.elem.tshift == w.elem.tshift
+        assert g.elem.body == w.elem.body
 
 
 @st.composite
@@ -79,9 +99,39 @@ def products(draw):
 @given(products())
 def test_product_equals_the_pairwise_product(xy):
     x, y = xy
-    got = (x * y).coords
-    want = pairwise_product(x, y)
-    for g, w in zip(got, want):
-        assert g.u2pow == w.u2pow
-        assert g.elem.tshift == w.elem.tshift
-        assert g.elem.body == w.elem.body
+    assert_same((x * y).coords, pairwise_product(x, y))
+
+
+@settings(max_examples=60)
+@given(products())
+def test_square_equals_the_product_of_copies(xy):
+    """x * x with u2 powers 0-2 and t-shifts -2..2, so that diagonal pairs
+    are formed squares first with a u2 lift above 0."""
+    x, _y = xy
+    x2 = copy_of(x)
+    got = (x * x).coords
+    assert_same(got, (x * x2).coords)
+    assert_same(got, pairwise_product(x, x2))
+
+
+def test_norm_with_a_zero_coordinate_mod_t4_claims_t4():
+    """Degree 4 over Q(i) at N = 12, the radicand over u2 (power 1) and a
+    coordinate that is zero mod t^4: the norm, whose tower steps take their
+    diagonal pairs squares first, holds mod t^4, and agrees with the
+    pairwise product of all conjugates of an equal copy."""
+    QI = cyclotomic_field(4)
+    cfg = Configuration(QI, [0, 1, 2], 12)
+    rng = random.Random(4)
+
+    def unit():
+        f = random_element(cfg, rng, chart=1, max_zdeg=2, tdeg=3)
+        return f.shift_t(1) + AnalyticElement.constant(cfg, rng.randint(1, 9), 1)
+
+    ext = KummerExtension.create(cfg, 1, 4, unit(), u2=unit(), radicand_u2_power=1)
+    x = ext.element([unit(), _Coord(unit(), 1), AnalyticElement.zero(cfg, 1, 4), unit()])
+    got = x.norm()
+    assert got.elem.precision == 4
+    acc = copy_of(x)
+    for l in range(1, 4):
+        acc = ext.element(pairwise_product(acc, copy_of(x).galois(l)))
+    assert_same([got], [acc.coords[0]])
