@@ -41,6 +41,7 @@ slots).
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -391,7 +392,8 @@ class _SeriesAcc:
         xt and yt are the factors' ``intvec.terms`` (the nonzero terms of
         each component, listed separately), for a caller that multiplies
         one series by many and lists its terms once.  The integer scale is
-        2 for the off-diagonal slot pairs of a square (``ae_dot``).
+        a pair's weight k in ``ae_dot``, or 2k on the off-diagonal slot
+        pairs of a square.
         """
         if x.prec < self.prec or y.prec < self.prec:
             raise ValueError("factor less precise than the accumulator")
@@ -706,7 +708,7 @@ class AnalyticElement:
 # ---------------------------------------------------------------------------
 
 
-def ae_dot(pairs) -> AnalyticElement:
+def ae_dot(pairs, weights=None) -> AnalyticElement:
     """Sum of products f*g over pairs in one accumulation pass, in the chart
     of the first factor.
 
@@ -727,9 +729,13 @@ def ae_dot(pairs) -> AnalyticElement:
     slot z_i^a and (0, b) the slot z_j^b.  That is two accumulator adds per
     cell, where reducing each product by itself would take a + b.
 
+    weights, when given, holds an integer weight k for each pair: the pair
+    adds k*f*g.  The weight enters ``add_product``'s integer scale, so no
+    factor is scaled as a series.
+
     A pair whose two factors are one object is a square: its terms are
     listed once, and each unordered slot pair is multiplied once, the
-    off-diagonal ones at scale 2, so a factor of m slots costs m(m+1)/2
+    off-diagonal ones at scale 2k, so a factor of m slots costs m(m+1)/2
     slot products instead of m^2 (Brent and Zimmermann, "Modern Computer
     Arithmetic", 2010, 1.3.6).  The routing is symmetric in the two slots,
     so a pair and its mirror land in one accumulator.  Identity is taken
@@ -742,8 +748,9 @@ def ae_dot(pairs) -> AnalyticElement:
     def align(h: AnalyticElement) -> AnalyticElement:
         return h if h.chart == chart else h.rebase(chart)
 
-    pairs = [(align(f),) * 2 if f is g else (align(f), align(g)) for f, g in pairs]
-    prec = min(min(f.precision, g.precision) for f, g in pairs)
+    pairs = [((align(f),) * 2 if f is g else (align(f), align(g))) + (k,)
+             for (f, g), k in zip(pairs, repeat(1) if weights is None else weights)]
+    prec = min(min(f.precision, g.precision) for f, g, _k in pairs)
     acc0 = _SeriesAcc(cfg.field, prec)
     acc: dict = {}
     grids: dict = {}  # (i, j), i < j -> {(a, b): accumulator of z_i^a z_j^b}
@@ -754,9 +761,10 @@ def ae_dot(pairs) -> AnalyticElement:
             a = d[key] = _SeriesAcc(cfg.field, prec)
         return a
 
-    for f, g in pairs:
+    for f, g, k in pairs:
         terms_g = [(k2, n2, s2, s2.vt(), terms(s2._c)) for k2, n2, s2 in g._term_list()]
         square = f is g
+        off = 2 * k if square else k
         for i, (k1, n1, s1) in enumerate(f._term_list()):
             v1, t1 = terms_g[i][3:] if square else (s1.vt(), terms(s1._c))
             for d, (k2, n2, s2, v2, t2) in enumerate(terms_g[i:] if square else terms_g):
@@ -772,7 +780,7 @@ def ae_dot(pairs) -> AnalyticElement:
                     a = get(grids.setdefault((k1, k2), {}), (n1, n2))
                 else:
                     a = get(grids.setdefault((k2, k1), {}), (n2, n1))
-                a.add_product(s1, s2, t1, t2, 2 if square and d else 1)
+                a.add_product(s1, s2, t1, t2, off if d else k)
     for (i, j), grid in grids.items():
         w = {kn: (nums, den) for kn, nums, den in cfg.rewrite_ints(i, 1, j, 1)}
         alpha, beta = w[(i, 1)], w[(j, 1)]
@@ -792,18 +800,19 @@ def ae_dot(pairs) -> AnalyticElement:
     return AnalyticElement(cfg, chart, acc0.result(), zc)
 
 
-def localized_dot(pairs) -> "LocalizedElement":
+def localized_dot(pairs, weights=None) -> "LocalizedElement":
     """Sum of products x*y of localized elements as one ``ae_dot`` over the
     first x's chart, every factor rebased to it as a localized element and
     each x shifted up to the smallest t-shift s = min(x.tshift + y.tshift).
-    Zero factors add no term but are kept: ``ae_dot``'s window is the
-    minimum over all pairs, so the sum claims the precision it has written
-    with ``*`` and ``+``."""
+    weights are ``ae_dot``'s integer weights, one per pair; a pair (x, x)
+    that needs no shift stays a square.  Zero factors add no term but are
+    kept: ``ae_dot``'s window is the minimum over all pairs, so the sum
+    claims the precision it has written with ``*`` and ``+``."""
     c = pairs[0][0].chart
     s = min(x.tshift + y.tshift for x, y in pairs)
     return LocalizedElement(
         ae_dot([(x.rebase(c).body.shift_t(x.tshift + y.tshift - s), y.rebase(c).body)
-                for x, y in pairs]), s
+                for x, y in pairs], weights), s
     )
 
 

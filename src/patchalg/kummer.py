@@ -25,7 +25,6 @@ valuation.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -345,8 +344,12 @@ class KummerExtension:
         return KummerElement(self, tuple(cs))
 
     def generator(self) -> "KummerElement":
+        """alpha: coordinate 1 is one, or in degree 1, where alpha lies in
+        the base, coordinate 0 is the radicand."""
+        if self.degree == 1:
+            return KummerElement(self, (self.radicand,))
         coords = [self.zero] * self.degree
-        coords[1 % self.degree] = _Coord(AnalyticElement.one(self.cfg, self.chart))
+        coords[1] = _Coord(AnalyticElement.one(self.cfg, self.chart))
         return KummerElement(self, tuple(coords))
 
     def scalar_embed(self, x) -> "KummerElement":
@@ -363,9 +366,9 @@ class KummerElement:
         self.coords = coords
 
     def _check(self, other: "KummerElement"):
-        if self.ext is not other.ext and (
-            self.ext.degree != other.ext.degree or self.ext.cfg != other.ext.cfg
-        ):
+        """Both elements must belong to one extension object: two extensions
+        of one degree and configuration may still differ in radicand."""
+        if self.ext is not other.ext:
             raise ExtensionError("elements of different extensions")
 
     def is_zero(self) -> bool:
@@ -386,16 +389,15 @@ class KummerElement:
 
     def __mul__(self, other: "KummerElement") -> "KummerElement":
         """The product: every ordered pair of coordinates, zeros included, with
-        weight 1 and the radicand on the pairs that wrap past alpha^q; one
-        ``localized_dot`` per output coordinate (``_coordinate_products``)."""
+        weight 1 and the radicand on the pairs that wrap past alpha^q, summed
+        per output coordinate by ``_coordinate_products``."""
         self._check(other)
         ext = self.ext
         q = ext.degree
-        one = ext.zeta_powers[0]
         groups = [[] for _ in range(q)]
         for n1 in range(q):
             for n2 in range(q):
-                groups[(n1 + n2) % q].append((n1, n2, one, ext.radicand if n1 + n2 >= q else None))
+                groups[(n1 + n2) % q].append((n1, n2, 1, ext.radicand if n1 + n2 >= q else None))
         return KummerElement(ext, _coordinate_products(ext, self.coords, other.coords, groups))
 
     def scale(self, s) -> "KummerElement":
@@ -444,13 +446,15 @@ class KummerElement:
         the extension's own zeta, so a zeta that is not primitive still
         trips the check: with zeta = -1 in degree 4, sigma^2 is the
         identity, the mixed pairs of the first step get weight 2 and the odd
-        coordinates do not vanish.
+        coordinates do not vanish.  Each tower step is quadratic, so for a
+        primitive zeta every weight is the rational integer 1, -1, 2 or -2;
+        a weight that is not an integer (zeta = i in degree 2) raises
+        ArithmeticError.
 
-        Each step is mostly a sum of squares c_n^2: ``_coordinate_products``
-        forms a diagonal pair as (c_n * c_n) * w * rad * u2^lift, square
-        first, unless its right factor serves another pair too, and
-        ``ae_dot`` multiplies each slot pair of a square once.  A dense
-        degree-4 norm takes 10 ``ae_dot`` calls and 225 series products.
+        Each step is mostly a sum of squares c_n^2: a diagonal pair enters
+        ``_coordinate_products`` as (c_n, c_n) with its weight w, and
+        ``ae_dot`` multiplies it as a square, each slot pair once.  A dense degree-4 norm
+        takes 9 ``ae_dot`` calls and 212 series products.
         """
         ext = self.ext
         q = ext.degree
@@ -465,8 +469,13 @@ class KummerElement:
                 w1 = z[step * n1 % q]
                 for n2 in fixed[i:]:
                     w = w1 if n1 == n2 else w1 + z[step * n2 % q]
-                    if not w.is_zero():
-                        groups[(n1 + n2) % q].append((n1, n2, w, rad if n1 + n2 >= q else None))
+                    if w.is_zero():
+                        continue
+                    if not w.is_rational() or w.rational.denominator != 1:
+                        raise ArithmeticError(f"norm weight {w} is not an integer: zeta = {ext.zeta}"
+                                              f" is not a primitive root of unity of order {q}")
+                    k = int(w.rational)
+                    groups[(n1 + n2) % q].append((n1, n2, k, rad if n1 + n2 >= q else None))
             acc = KummerElement(ext, _coordinate_products(ext, acc.coords, acc.coords, groups))
             fixed = range(0, q, q // step)
             for n in range(q):
@@ -497,65 +506,46 @@ class KummerElement:
 
 def _coordinate_products(ext, left: Sequence, right: Sequence, groups: list) -> tuple:
     """Coordinate n is the sum over the entries (n1, n2, w, rad) of groups[n]
-    of w * left[n1] * right[n2] * rad, where rad is a radicand ``_Coord`` or
-    None, as one ``localized_dot``; an empty group is ext's zero.  ext is the
+    of w * left[n1] * right[n2] * rad, where w is an integer and rad a
+    radicand ``_Coord`` or None; an empty group is ext's zero.  ext is the
     extension or grid the coordinates live in, for its ``u2`` and ``zero``.
 
     Zero coordinates are kept, so a zero known only mod t^w bounds every
     coordinate it enters at t^w, as it bounds the sum with ``*`` and ``+``.
     The entries of a coordinate are brought to the largest u2 power among
-    them: an entry below it has its right factor times u2 to the
-    difference, its lift; ``localized_dot`` aligns their t-shifts.  Each
-    right factor right[n2] * rad * u2^lift is built once per call, keyed
-    (n2, rad, lift), and shared by every entry that uses it; an entry
-    scales it by its weight w unless w is 1.
-
-    A diagonal entry of a square (left is right, n1 = n2) whose right
-    factor no other entry uses is taken as (c * c) * F instead, with c =
-    left[n1]: the square is formed first, so ``ae_dot`` multiplies each of
-    its slot pairs once, and the small factor F = rad * u2^lift (1 to 5
-    slots), built once per (rad, lift), enters the coordinate's
-    ``localized_dot`` as the right factor, scaled by w.  Both forms claim
-    the least window among c, rad and u2 (those that enter) and the same
-    t-shift, so the result is the same bit for bit.
+    them: an entry below it is lifted by u2 to the difference, its lift.
+    The entries are grouped by their small factor F = rad * u2^lift (1 to
+    5 slots): each group is one ``localized_dot`` of the pairs (left[n1],
+    right[n2]) with the weights w, and the coordinate is one more, of each
+    group's sum times its F.  So a diagonal entry of a square (left is
+    right, n1 = n2) is the pair (c, c), which ``ae_dot`` multiplies as a
+    square.  Each F is built once per call; for rad None and lift 0 it is
+    a one as precise as every coordinate, so it cuts no window.
     """
-    rows = []  # per group: None, or (top, [(n1, n2, w, rad, lift)])
+    elems = [c.elem for c in (*left, *right)]
+    one = LocalizedElement(AnalyticElement.one(
+        elems[0].cfg, elems[0].chart, max(e.precision for e in elems)))
+    factors: dict = {}  # (rad, lift) -> rad * u2^lift
+    out = []
     for group in groups:
         if not group:
-            rows.append(None)
+            out.append(ext.zero)
             continue
         powers = [left[n1].u2pow + right[n2].u2pow + (rad.u2pow if rad else 0)
                   for n1, n2, _w, rad in group]
         top = max(powers)
-        rows.append((top, [(n1, n2, w, rad, top - p) for (n1, n2, w, rad), p in zip(group, powers)]))
-    uses = Counter((n2, rad, lift) for row in rows if row for _n1, n2, _w, rad, lift in row[1])
-    built: dict = {}  # (n2, rad, lift) -> right[n2] * rad * u2^lift; (rad, lift) -> F
-
-    def build(key, base: LocalizedElement, rad, lift) -> LocalizedElement:
-        g = built.get(key)
-        if g is None:
-            g = base if rad is None else base * rad.elem
-            g = built[key] = _Coord(g).lifted(lift, ext.u2)
-        return g
-
-    if left is right:  # F's base: one as precise as every coordinate, so it cuts no window
-        c0 = left[0].elem
-        one = LocalizedElement(AnalyticElement.one(c0.cfg, c0.chart, max(c.elem.precision for c in left)))
-    out = []
-    for row in rows:
-        if row is None:
-            out.append(ext.zero)
-            continue
-        top, entries = row
-        factors = []
-        for n1, n2, w, rad, lift in entries:
-            c = left[n1].elem
-            if left is right and n1 == n2 and uses[n2, rad, lift] == 1:
-                c, g = c * c, build((rad, lift), one, rad, lift)
-            else:
-                g = build((n2, rad, lift), right[n2].elem, rad, lift)
-            factors.append((c, g if w.is_one() else g.scale(w)))
-        out.append(_Coord(localized_dot(factors), top))
+        by_factor: dict = {}  # (rad, lift) -> ([(left[n1], right[n2])], [w])
+        for (n1, n2, w, rad), p in zip(group, powers):
+            pairs, weights = by_factor.setdefault((rad, top - p), ([], []))
+            pairs.append((left[n1].elem, right[n2].elem))
+            weights.append(w)
+        sums = []
+        for (rad, lift), (pairs, weights) in by_factor.items():
+            F = factors.get((rad, lift))
+            if F is None:
+                F = factors[rad, lift] = _Coord(one if rad is None else rad.elem).lifted(lift, ext.u2)
+            sums.append((localized_dot(pairs, weights), F))
+        out.append(_Coord(localized_dot(sums), top))
     return tuple(out)
 
 
@@ -750,12 +740,11 @@ class BiRadicalGrid:
         self.cells = [(u, v) for u in range(q) for v in range(qp)]
         rads = {(False, False): None, (True, False): self.rad_u, (False, True): self.rad_v,
                 (True, True): _Coord(self.rad_u.elem * self.rad_v.elem, 2)}
-        one = Scalar.one(sc.cfg.field)
         self.groups = [[] for _ in self.cells]
         for n1, (u1, v1) in enumerate(self.cells):
             for n2, (u2, v2) in enumerate(self.cells):
                 u, v = u1 + u2, v1 + v2
-                self.groups[u % q * qp + v % qp].append((n1, n2, one, rads[u >= q, v >= qp]))
+                self.groups[u % q * qp + v % qp].append((n1, n2, 1, rads[u >= q, v >= qp]))
 
     def element(self, entries: dict) -> dict:
         out = {cell: self.zero for cell in self.cells}

@@ -1,8 +1,9 @@
 """Laws of the product ``ae_dot``, over random configurations.
 
 Q and Q(i), two to five centers (integer or not), precision 4 to 24,
-z-degree up to 8, and factors of any valuation.  A square (a pair whose
-two factors are one object) must equal the product of two equal copies.
+z-degree up to 8, and factors of any valuation.  The pairs may carry
+integer weights.  A square (a pair whose two factors are one object) must
+equal the product of two equal copies.
 The last test bounds the work of one product by counting series products
 and accumulator adds.
 """
@@ -61,14 +62,23 @@ def test_product_associates(fgh):
     assert (f * g) * h == f * (g * h)
 
 
+WEIGHTS = st.sampled_from([-2, -1, 1, 2])
+
+
 @settings(max_examples=40)
-@given(factors(6))
-def test_dot_is_sum_of_products(fs):
+@given(factors(6), st.lists(WEIGHTS, min_size=3, max_size=3))
+def test_dot_is_sum_of_products(fs, ks):
+    """Without weights and with an integer weight k for each pair (f, g),
+    which adds k * f * g."""
     pairs = [(fs[0], fs[1]), (fs[2], fs[3]), (fs[4], fs[5])]
     want = pairs[0][0] * pairs[0][1]
     for f, g in pairs[1:]:
         want = want + f * g
     assert ae_dot(pairs) == want
+    want = (fs[0] * fs[1]).scale(ks[0])
+    for (f, g), k in zip(pairs[1:], ks[1:]):
+        want = want + (f * g).scale(k)
+    assert ae_dot(pairs, ks) == want
 
 
 @settings(max_examples=40)
@@ -109,14 +119,16 @@ def squares(draw):
 
 
 @settings(max_examples=60)
-@given(squares())
-def test_square_equals_the_product_of_copies(fg):
+@given(squares(), WEIGHTS)
+def test_square_equals_the_product_of_copies(fg, k):
     """``ae_dot`` multiplies each unordered slot pair of a square once, the
-    off-diagonal ones at scale 2: the result equals the product of two
-    equal copies in value, chart and precision, alone and after a pair in
-    another chart."""
+    off-diagonal ones at scale 2 (2k with a weight k): the result equals
+    the product of two equal copies in value, chart and precision, alone,
+    with a weight, and after a pair in another chart."""
     f, g = fg
     got, want = ae_dot([(f, f)]), ae_dot([(f, copy_of(f))])
+    assert got == want and got.precision == want.precision
+    got, want = ae_dot([(f, f)], [k]), ae_dot([(f, copy_of(f))], [k])
     assert got == want and got.precision == want.precision
     got = ae_dot([(g, copy_of(g)), (f, f)])
     want = ae_dot([(g, copy_of(g)), (f, copy_of(f))])

@@ -11,6 +11,7 @@ from patchalg.analytic import (
     z_generator,
 )
 from patchalg.kummer import (
+    ExtensionError,
     KummerExtension,
     Scenario,
     ScenarioError,
@@ -112,6 +113,30 @@ def test_alpha_squares_to_radicand(quad_ext):
     sq = alpha * alpha
     assert sq.coords[1].is_zero()
     assert sq.coords[0].elem.equals(LocalizedElement.of(rad))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_generator_to_the_degree_is_the_radicand(degree):
+    """alpha^q = radicand, in degree 1 too, where alpha is the radicand."""
+    cfg = lift_configuration(Configuration(QQ, [0, 1, 2], 10))
+    rad = AnalyticElement.one(cfg, 0) + z_generator(cfg, 0).scale_series(cfg.t_series(1))
+    ext = KummerExtension.create(cfg, 0, degree, rad)
+    alpha = ext.generator()
+    power = alpha
+    for _ in range(degree - 1):
+        power = power * alpha
+    assert (power - ext.scalar_embed(rad)).is_zero()
+
+
+def test_elements_of_two_extensions_do_not_multiply(quad_ext):
+    """Two extensions of one degree and configuration with different
+    radicands: their elements do not mix."""
+    base, rad, ext = quad_ext
+    other = KummerExtension.create(base, 0, 2, rad + rad)
+    with pytest.raises(ExtensionError):
+        ext.generator() * other.generator()
+    with pytest.raises(ExtensionError):
+        ext.generator() + other.generator()
 
 
 def test_mul_by_one(quad_ext):

@@ -177,41 +177,49 @@ def test_complex_norm_at_n12_is_galois_invariant(xs):
 
 def test_norm_rejects_a_non_primitive_root_of_unity():
     """With zeta = -1 in degree 4, sigma^2 is the identity, so x * sigma^2(x)
-    is x^2, whose odd coordinates do not vanish."""
+    is x^2, whose odd coordinates do not vanish.  With zeta = i in degree 2
+    the mixed pair of x * sigma(x) has the weight 1 + i, not an integer."""
     good = EXT[4]
     bad = KummerExtension(CFG, SC.j, 4, Scalar.of(QI, -1), good.radicand, SC.u2)
     rng = random.Random(7)
     x = bad.element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(4)])
     with pytest.raises(ArithmeticError, match="fixed field of sigma\\^2"):
         x.norm()
+    bad = KummerExtension(CFG, SC.j, 2, I, good.radicand, SC.u2)
+    x = bad.element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(2)])
+    with pytest.raises(ArithmeticError, match="zeta = 1\\*w is not a primitive root of unity of order 2"):
+        x.norm()
 
 
 def test_dense_degree_four_norm_work(monkeypatch):
-    """Two tower products over unordered coordinate pairs, one ``ae_dot`` per
-    output coordinate whose pairs do not cancel.  For x * sigma^2(x) the
-    pairs of odd sum have weight zero, so only coordinates 0 ((0,0), (1,3),
-    (2,2)) and 2 ((0,2), (1,1), (3,3)) are computed.  The diagonal pairs
-    whose right factor is their own are formed squares first: the squares
-    of coordinates 0, 1 and 2, each times the small factor u2 or the
-    radicand, which cost no product.  (3,3) shares the right factor
-    c3 * radicand with (1,3), so it is built once, and (0,2) takes c2 * u2.
-    With the two coordinates that is 7 calls; the second step, on
-    coordinates 0 and 2 ((0,0) and (2,2); (0,2) cancels), takes two squares
-    and one coordinate.  That is 10, and the coordinates take 3 + 3 + 2
-    pairs; ordered pairs took 14 calls and 20 pairs, one product per
-    coordinate pair 30 calls, and x * sigma(x) * sigma^2(x) * sigma^3(x)
-    takes 80.  The squares make 225 series products (``add_product``
-    calls), where building every right factor as c * radicand * u2^lift
-    made 285."""
+    """Two tower products over unordered coordinate pairs.  For
+    x * sigma^2(x) the pairs of odd sum have weight zero, so only
+    coordinates 0 ((0,0), (1,3), (2,2)) and 2 ((0,2), (1,1), (3,3)) are
+    computed.  A coordinate groups its pairs by their small factor, u2 or
+    the radicand: one ``ae_dot`` per group, of the pairs (c_n1, c_n2, w),
+    and one of each group's sum times its factor.  Coordinate 0 takes the
+    square (0,0), then (1,3) and (2,2), then the two groups; coordinate 2
+    takes (0,2) and (1,1), then the square (3,3), then the two groups.
+    With the two coordinates that is 6 calls; the second step, on
+    coordinates 0 and 2 ((0,0) and (2,2); (0,2) cancels), takes two
+    squares and their sum.  That is 9, and the calls of more than one pair
+    take 2 pairs each; squares formed apart, times the small factor, with
+    the shared right factors c3 * radicand and c2 * u2 built apart took 10
+    calls, ordered pairs 14 calls and 20 pairs, one product per coordinate
+    pair 30 calls, and x * sigma(x) * sigma^2(x) * sigma^3(x) takes 80.
+    The squares, multiplied as squares with their weight in the scale,
+    make 212 series products (``add_product`` calls), where the squares
+    formed apart made 225 and every right factor built as c * radicand *
+    u2^lift 285."""
     rng = random.Random(11)
     x = EXT[4].element([random_ring_element(CFG, rng, RING, SC.j) for _ in range(4)])
     calls = []
     products = []
     real, add_product = analytic.ae_dot, analytic._SeriesAcc.add_product
 
-    def counted(pairs):
+    def counted(pairs, weights=None):
         calls.append(len(pairs))
-        return real(pairs)
+        return real(pairs, weights)
 
     def counted_product(*args, **kwargs):
         products.append(1)
@@ -221,7 +229,7 @@ def test_dense_degree_four_norm_work(monkeypatch):
     monkeypatch.setattr(analytic._SeriesAcc, "add_product", counted_product)
     got = x.norm()
     monkeypatch.undo()
-    assert len(calls) <= 10
-    assert sorted(n for n in calls if n > 1) == [2, 3, 3]
-    assert len(products) <= 225
+    assert len(calls) <= 9
+    assert sorted(n for n in calls if n > 1) == [2, 2, 2, 2, 2]
+    assert len(products) <= 212
     assert same_value(got, conjugate_product(x))

@@ -1,5 +1,6 @@
-"""The Kummer product ``KummerElement.__mul__``, one ``ae_dot`` per output
-coordinate, against the pairwise product it replaced.
+"""The Kummer product ``KummerElement.__mul__``, which sums the pairs of
+each output coordinate per small factor rad * u2^lift and multiplies each
+sum by its factor once, against the pairwise product it replaced.
 
 Over Q (degree 2) and Q(i) (degrees 2 and 4), two to five centers, with
 coordinates, radicand and unit u2 that carry u2 powers and t-shifts, some
@@ -7,8 +8,9 @@ coordinates zero and some at a lower precision.  The reference multiplies
 every coordinate pair by itself, zeros included, and sums with
 ``_Coord.plus`` from each coordinate's first product; the two must agree
 bit for bit in value, u2 power and t-shift.  A square x * x, whose diagonal
-pairs are formed as (c * c) * F, must agree with the product of x and an
-equal copy, and so must a norm with a coordinate known only mod t^4.
+pairs (c, c) ``ae_dot`` multiplies as squares, must agree with the product
+of x and an equal copy, and so must a norm with a coordinate known only
+mod t^4.
 """
 
 import random
@@ -106,7 +108,7 @@ def test_product_equals_the_pairwise_product(xy):
 @given(products())
 def test_square_equals_the_product_of_copies(xy):
     """x * x with u2 powers 0-2 and t-shifts -2..2, so that diagonal pairs
-    are formed squares first with a u2 lift above 0."""
+    are squares in groups with a u2 lift above 0."""
     x, _y = xy
     x2 = copy_of(x)
     got = (x * x).coords
@@ -116,8 +118,8 @@ def test_square_equals_the_product_of_copies(xy):
 
 def test_norm_with_a_zero_coordinate_mod_t4_claims_t4():
     """Degree 4 over Q(i) at N = 12, the radicand over u2 (power 1) and a
-    coordinate that is zero mod t^4: the norm, whose tower steps take their
-    diagonal pairs squares first, holds mod t^4, and agrees with the
+    coordinate that is zero mod t^4: the norm, whose tower steps multiply
+    their diagonal pairs as squares, holds mod t^4, and agrees with the
     pairwise product of all conjugates of an equal copy."""
     QI = cyclotomic_field(4)
     cfg = Configuration(QI, [0, 1, 2], 12)

@@ -116,9 +116,9 @@ def test_det_is_one_expansion(monkeypatch):
         calls = []
         real = analytic.ae_dot
 
-        def counted(pairs):
+        def counted(pairs, weights=None):
             calls.append(1)
-            return real(pairs)
+            return real(pairs, weights)
 
         monkeypatch.setattr(analytic, "ae_dot", counted)
         d = M.det()

@@ -219,9 +219,9 @@ def test_gl_reads_determinants_off_the_adjugate(monkeypatch):
     calls = []
     real = analytic.ae_dot
 
-    def counted(pairs):
+    def counted(pairs, weights=None):
         calls.append(1)
-        return real(pairs)
+        return real(pairs, weights)
 
     monkeypatch.setattr(analytic, "ae_dot", counted)
     res = gl_factor(B, i)

@@ -1,8 +1,9 @@
-"""Digests of benchmark results: kummer-qi norms, Hensel roots,
-prime-point valuations or Weierstrass divisions, ring-ops results and
-oracle expansions, and cartan factors.
+"""Digests of benchmark results: kummer-qi norms, Kummer products, Hensel
+roots, prime-point valuations or Weierstrass divisions, ring-ops results
+and oracle expansions, and cartan factors.
 
     python3 tools/norm_digest.py --seeds 1 2 3
+    python3 tools/norm_digest.py --kind product --seeds 1 2 3
     python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
     python3 tools/norm_digest.py --kind bivar --seeds 1 2 3
     python3 tools/norm_digest.py --kind ring --seeds 1 2 3
@@ -16,6 +17,9 @@ stream and the SHA-256 of the result's exact data:
 
 * ``norm`` (the default), kummer-qi norm-law requests: the norm's u2
   power, t-shift and the series data of its numerator;
+* ``product``, kummer-qi norm-law requests (x, w): every coordinate (u2
+  power, t-shift and series data) of the Kummer products x x, x (x r^w)
+  and (x r^w) sigma(x);
 * ``hensel``, kummer-qi hensel requests: the series data of the root;
 * ``valuation``, kummer-qi norm-law and certificate requests: the
   prime-point valuations of x, of x r^w, of its conjugates and of its
@@ -40,12 +44,12 @@ stream and the SHA-256 of the result's exact data:
   residual precision.
 
 Two checkouts compute identical results when their outputs are identical,
-so a change to ``KummerElement.norm``, ``hensel_root``,
+so a change to ``KummerElement.norm``, ``KummerElement.__mul__``, ``hensel_root``,
 ``prime_point_valuation``, ``weierstrass_div``, ``ae_dot``, ``rebase``,
 ``split``, ``oracle_of_element``, ``OracleSeries``, ``cartan_factor`` or
 ``gl_factor`` (or the series product under them) is checked by running this
-script in both and comparing the outputs.  The ``norm`` and ``valuation``
-kinds also check ``kummer._coordinate_products`` and ``LocalizedElement``
+script in both and comparing the outputs.  The ``norm``, ``product`` and
+``valuation`` kinds also check ``kummer._coordinate_products`` and ``LocalizedElement``
 arithmetic (``*``, ``+``, ``-``, ``rebase`` and ``localized_dot``), which
 every Kummer product and norm goes through.  The script is part of the
 checkout, so when it changes, copy the newer version into the other
@@ -78,11 +82,21 @@ def element_data(e) -> list:
             sorted((kn, s.den, s._c) for kn, s in e.zc.items())]
 
 
+def coord_data(c) -> list:
+    """u2 power, t-shift and the exact series of a Kummer coordinate."""
+    return [c.u2pow, c.elem.tshift, *element_data(c.elem.body)]
+
+
 def norm_data(ctx, kind, inp) -> list:
     x, w = inp
     xw = x.mul_base(ctx["r_pows"][w]) if w else x
-    c = xw.norm()
-    return [c.u2pow, c.elem.tshift, *element_data(c.elem.body)]
+    return coord_data(xw.norm())
+
+
+def product_data(ctx, kind, inp) -> list:
+    x, w = inp
+    xw = x.mul_base(ctx["r_pows"][w]) if w else x
+    return [[coord_data(c) for c in p.coords] for p in (x * x, x * xw, xw * x.galois(1))]
 
 
 def hensel_data(ctx, kind, inp) -> list:
@@ -162,6 +176,7 @@ def cartan_data(ctx, kind, inp) -> list:
 # --kind -> (workload, request kinds digested, result data of one request)
 KINDS = {
     "norm": ("kummer-qi", {"norm-law"}, norm_data),
+    "product": ("kummer-qi", {"norm-law"}, product_data),
     "hensel": ("kummer-qi", {"hensel"}, hensel_data),
     "valuation": ("kummer-qi", {"norm-law", "certificate"}, valuation_data),
     "bivar": ("kummer-qi", {"certificate"}, bivar_data),
