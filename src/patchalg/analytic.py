@@ -558,9 +558,7 @@ class AnalyticElement:
         data holds."""
         if prec <= self.precision:
             return self
-        return self._map(
-            lambda s: TruncSeries(s.field, prec, s.den, [c + (0,) * (prec - s.prec) for c in s._c])
-        )
+        return self._map(lambda s: s.widen(prec))
 
     def __repr__(self) -> str:
         bits = []
@@ -1079,9 +1077,7 @@ def unit_invert(f):
     of those with t-powers (localized input).  Anything else raises
     UnitNotRecognized, which deliberately does not claim non-invertibility.
     The recognized factors leave a unit g = 1 mod t, inverted by
-    ``series.newton_inverse`` from 1: it stops as soon as g x = 1 mod t^N,
-    and raises ArithmeticError if that takes more than ceil(log2 N) + 1
-    steps.
+    ``series.newton_inverse`` from 1.
     """
     if isinstance(f, LocalizedElement):
         body = f.body

@@ -41,7 +41,7 @@ from .analytic import (
     weierstrass_prepare_linear,
 )
 from .scalars import FieldError, Scalar, cyclotomic_field, root_of_unity
-from .series import BivarSeries, newton_passes, prime_valuation as bivar_prime_valuation
+from .series import BivarSeries, newton_lift, prime_valuation as bivar_prime_valuation
 
 __all__ = [
     "ScenarioError",
@@ -82,16 +82,8 @@ def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     Newton iteration s <- s - (s^q - a) w, where w ~ (q s^{q-1})^{-1} is
     carried from step to step and refined by one step of
     ``series.newton_inverse``'s iteration, w <- w - w (q s^{q-1} w - 1),
-    instead of being inverted anew (Bernstein, "Removing redundancy in
-    high-precision Newton iteration").  Step k runs mod t^min(2^k, N):
-    s is then right mod t^(2^k) and w mod t^(2^(k-1)), which is all the
-    next step reads, and truncation commutes with every operation here, so
-    each iterate is the full-precision iterate mod t^(2^k) (Brent and Kung,
-    JACM 1978).  The iterates are zero-extended (``AnalyticElement.widen``)
-    from step to step.  At precision N the loop returns as soon as the
-    residual s^{q-1} s - a vanishes within the window, so every root is
-    checked to satisfy s^q = a at full precision, and raises
-    ArithmeticError if it has not after ``newton_passes(N)`` passes.  The
+    instead of being inverted anew, by ``series.newton_lift`` from s = 1 on
+    the residual s^{q-1} s - a, whose s^{q-1} the step reuses.  The
     correction stays in the ideal, so s = 1 mod t throughout; a root = 1
     mod t is unique, so it is the one exact Newton would give.
     """
@@ -107,19 +99,16 @@ def hensel_root(a: AnalyticElement, q: int) -> AnalyticElement:
     if q == 1:
         return a
     qs = Scalar.of(cfg.field, q)
-    s = one.truncate(1)
-    w = unit_invert(s.scale(qs))
-    p = 1
-    for _ in range(newton_passes(N)):
-        p = min(2 * p, N)
-        s, w = s.widen(p), w.widen(p)
+
+    def residual(s, w):
         sq_1 = s ** (q - 1)
-        residue = sq_1 * s - a.truncate(p)
-        if residue.is_zero() and p == N:
-            return s
-        w = w - w * (sq_1.scale(qs) * w - one.truncate(p))
-        s = s - residue * w
-    raise ArithmeticError("Hensel iteration failed to converge (internal bug)")
+        return sq_1 * s - a.truncate(s.precision), sq_1
+
+    def update(s, w, r, sq_1):
+        w = w - w * (sq_1.scale(qs) * w - one.truncate(s.precision))
+        return s - r * w, w
+
+    return newton_lift(residual, update, (one, unit_invert(one.truncate(1).scale(qs))), N)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +509,8 @@ def _coordinate_products(ext, left: Sequence, right: Sequence, groups: list) -> 
     group's sum times its F.  So a diagonal entry of a square (left is
     right, n1 = n2) is the pair (c, c), which ``ae_dot`` multiplies as a
     square.  Each F is built once per call; for rad None and lift 0 it is
-    a one as precise as every coordinate, so it cuts no window.
+    a one as precise as every coordinate, so it cuts no window, and a
+    coordinate whose one group has that F is the group's sum.
     """
     elems = [c.elem for c in (*left, *right)]
     one = LocalizedElement(AnalyticElement.one(
@@ -545,7 +535,8 @@ def _coordinate_products(ext, left: Sequence, right: Sequence, groups: list) -> 
             if F is None:
                 F = factors[rad, lift] = _Coord(one if rad is None else rad.elem).lifted(lift, ext.u2)
             sums.append((localized_dot(pairs, weights), F))
-        out.append(_Coord(localized_dot(sums), top))
+        lone = list(by_factor) == [(None, 0)]  # a lone F = one: the sum is the coordinate
+        out.append(_Coord(sums[0][0] if lone else localized_dot(sums), top))
     return tuple(out)
 
 

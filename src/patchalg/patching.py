@@ -163,6 +163,12 @@ class PatchMatrix:
     def __neg__(self) -> "PatchMatrix":
         return self._map(operator.neg)
 
+    def truncate(self, prec: int) -> "PatchMatrix":
+        return self._map(lambda x: LocalizedElement(x.body.truncate(prec), x.tshift))
+
+    def widen(self, prec: int) -> "PatchMatrix":
+        return self._map(lambda x: LocalizedElement(x.body.widen(prec), x.tshift))
+
     def __mul__(self, other: "PatchMatrix") -> "PatchMatrix":
         """Each entry is one ``localized_dot`` over k, zero entries included,
         so the window of an entry is the smallest of its n products'."""

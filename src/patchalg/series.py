@@ -228,11 +228,15 @@ class TruncSeries:
             return self
         return TruncSeries(self.field, prec, self.den, [c[:prec] for c in self._c])
 
+    def widen(self, prec: int) -> "TruncSeries":
+        """The same coefficients read mod t^prec, prec >= self.prec: zero-extended."""
+        if prec <= self.prec:
+            return self
+        return TruncSeries(self.field, prec, self.den, [c + (0,) * (prec - self.prec) for c in self._c])
+
     def invert_unit(self) -> "TruncSeries":
         """Inverse mod t^prec of a series with invertible constant term, by
-        ``newton_inverse`` from the inverse of the constant term: it stops
-        as soon as u*x = 1 mod t^prec, and raises ArithmeticError if that
-        takes more than ceil(log2 prec) + 1 steps."""
+        ``newton_inverse`` from the inverse of the constant term."""
         c0 = self.coeff(0)
         if c0.is_zero():
             raise NonUnitError("no inverse: constant coefficient is zero")
@@ -250,25 +254,40 @@ def newton_passes(prec: int) -> int:
     return max(1, math.ceil(math.log2(prec))) + 2
 
 
-def newton_inverse(u, x, one, prec: int):
-    """u^-1 from x with u*x = 1 mod t, in any ring of truncated series
-    (``TruncSeries``, ``BivarSeries``, ``AnalyticElement``) or of square
-    matrices over one (``PatchMatrix``).
+def newton_lift(residual, update, state: tuple, prec: int) -> tuple:
+    """Newton lift to precision prec of the iterates in state, elements of
+    ``TruncSeries``, ``BivarSeries``, ``AnalyticElement`` or ``PatchMatrix``.
+    residual(*state) returns (r, ...), r zero exactly when state solves the
+    caller's equation at the iterates' precision, at which the caller reads
+    its own data, and update(*state, r, ...) returns the next iterates.
 
-    It solves u*x = 1, so it gives a right inverse, which is the inverse
-    for square matrices.  Repeats e = u*x - 1, x <- x - x*e (Bernstein,
-    "Removing redundancy in high-precision Newton iteration") and returns
-    x as soon as e vanishes to precision, so the result is checked exact
-    and an exact start costs one product.  If e has not vanished after ceil(log2 prec) + 1 steps
-    (``newton_passes``), which happens when u*x != 1 mod t, it raises
-    ArithmeticError.
+    A start that passes the check at prec is returned at once, so an exact
+    start costs one residual.  Otherwise step k runs on the iterates cut or
+    zero-extended (``widen``) to t^min(2^k, prec): a root is then right mod
+    t^(2^k) and a carried inverse mod t^(2^(k-1)), all the next step reads
+    (Brent and Kung, JACM 1978; Bernstein, "Removing redundancy in
+    high-precision Newton iteration").  It returns only once r vanishes at
+    prec, and raises ArithmeticError after ``newton_passes(prec)`` steps.
     """
+    res = residual(*state)
+    if res[0].is_zero():
+        return state
+    p = 1
     for _ in range(newton_passes(prec)):
-        e = u * x - one
-        if e.is_zero():
-            return x
-        x = x - x * e
-    raise ArithmeticError("Newton inverse did not converge: the start is not an inverse mod t")
+        p = min(2 * p, prec)
+        state = tuple(x.truncate(p).widen(p) for x in state)
+        res = residual(*state)
+        if p == prec and res[0].is_zero():
+            return state
+        state = update(*state, *res)
+    raise ArithmeticError("Newton iteration did not converge: the start is no solution mod t")
+
+
+def newton_inverse(u, x, one, prec: int):
+    """u^-1 from x with u*x = 1 mod t, by ``newton_lift`` on e = u*x - 1 and
+    x <- x - x*e: a right inverse, which is the inverse for square matrices."""
+    return newton_lift(lambda x: (u.truncate(x.precision) * x - one.truncate(x.precision),),
+                       lambda x, e: (x - x * e,), (x,), prec)[0]
 
 
 def _as_scalar(field: FieldDescriptor, v) -> Scalar:
@@ -294,10 +313,8 @@ def poly_simple_root(coeffs: Sequence[TruncSeries], z0: Scalar) -> TruncSeries:
     invertible mod t.  Newton iteration lambda <- lambda - p(lambda) w,
     where w ~ p'(lambda)^-1 is carried from step to step and refined by one
     step of ``newton_inverse``'s iteration, w <- w - w (p'(lambda) w - 1),
-    instead of being inverted anew.  The loop returns as soon as the
-    residual p(lambda) vanishes mod t^prec, and raises ArithmeticError if
-    it has not after ceil(log2 prec) + 1 steps.  The correction stays in
-    the ideal, so lambda = z0 mod t.
+    instead of being inverted anew, by ``newton_lift`` on the residual
+    p(lambda).  The correction stays in the ideal, so lambda = z0 mod t.
     """
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -315,15 +332,17 @@ def poly_simple_root(coeffs: Sequence[TruncSeries], z0: Scalar) -> TruncSeries:
         raise RegularityError(f"{z0} is not a simple root mod t")
     deriv = [c.scale(Scalar.of(field, n)) for n, c in enumerate(coeffs) if n]
     one = TruncSeries.one(field, prec)
-    lam = TruncSeries.constant(field, z0, prec)
-    w = TruncSeries.constant(field, dp0.inverse(), prec)
-    for _ in range(newton_passes(prec)):
-        residue = poly_eval(coeffs, lam)
-        if residue.is_zero():
-            return lam
-        w = w - w * (poly_eval(deriv, lam) * w - one)
-        lam = lam - residue * w
-    raise ArithmeticError("Newton iteration failed to converge (internal bug)")
+
+    def residual(lam, w):
+        return (poly_eval([c.truncate(lam.prec) for c in coeffs], lam),)
+
+    def update(lam, w, r):
+        p = lam.prec
+        w = w - w * (poly_eval([c.truncate(p) for c in deriv], lam) * w - one.truncate(p))
+        return lam - r * w, w
+
+    start = (TruncSeries.constant(field, z0, prec), TruncSeries.constant(field, dp0.inverse(), prec))
+    return newton_lift(residual, update, start, prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +442,14 @@ class BivarSeries:
         if prec >= self.prec:
             return self
         vectors = [c[:prec - it] for it, row in enumerate(self._r[:prec]) for c in row]
+        return BivarSeries(self.field, prec, self.den, vectors)
+
+    def widen(self, prec: int) -> "BivarSeries":
+        """The same coefficients below total degree prec >= self.prec: zero-extended."""
+        if prec <= self.prec:
+            return self
+        vectors = [c + (0,) * (prec - self.prec) for c in self._vectors()]
+        vectors += [(0,) * (prec - it) for it in range(self.prec, prec) for _ in range(self.field.dim)]
         return BivarSeries(self.field, prec, self.den, vectors)
 
     def _combine(self, other: "BivarSeries", sign: int) -> "BivarSeries":

@@ -10,7 +10,8 @@ every coordinate pair by itself, zeros included, and sums with
 bit for bit in value, u2 power and t-shift.  A square x * x, whose diagonal
 pairs (c, c) ``ae_dot`` multiplies as squares, must agree with the product
 of x and an equal copy, and so must a norm with a coordinate known only
-mod t^4.
+mod t^4.  A degree-2 product over Q at u2 power 0 makes 4 ``ae_dot``
+calls: a coordinate whose one factor is 1 is its sum, not multiplied by 1.
 """
 
 import random
@@ -18,6 +19,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import patchalg.analytic as analytic
 from patchalg.analytic import AnalyticElement, Configuration, LocalizedElement, random_element
 from patchalg.kummer import KummerExtension, _Coord
 from patchalg.scalars import QQ, cyclotomic_field
@@ -137,3 +139,30 @@ def test_norm_with_a_zero_coordinate_mod_t4_claims_t4():
     for l in range(1, 4):
         acc = ext.element(pairwise_product(acc, copy_of(x).galois(l)))
     assert_same([got], [acc.coords[0]])
+
+
+def test_degree_two_product_over_q_makes_four_ae_dot_calls(monkeypatch):
+    """Coordinate 0 of x * y sums (x0 y0) and (x1 y1) r, one ``ae_dot``
+    each, and the two in a third; coordinate 1 sums x0 y1 + x1 y0 under the
+    factor one, so that sum is the coordinate."""
+    cfg = Configuration(QQ, [0, 1, 2], 8)
+    rng = random.Random(2)
+
+    def unit():
+        f = random_element(cfg, rng, chart=0, max_zdeg=2, tdeg=3)
+        return f.shift_t(1) + AnalyticElement.constant(cfg, rng.randint(1, 9), 0)
+
+    ext = KummerExtension.create(cfg, 0, 2, unit(), u2=unit())
+    x, y = ext.element([unit(), unit()]), ext.element([unit(), unit()])
+    calls = []
+    real = analytic.ae_dot
+
+    def counted(pairs, weights=None):
+        calls.append(1)
+        return real(pairs, weights)
+
+    monkeypatch.setattr(analytic, "ae_dot", counted)
+    got = (x * y).coords
+    monkeypatch.undo()
+    assert len(calls) <= 4
+    assert_same(got, pairwise_product(x, y))

@@ -1,4 +1,4 @@
-"""``series.newton_inverse`` and the inversions built on it.
+"""``series.newton_lift`` and the inversions and roots built on it.
 
 Q and Q(i), two to five centers, precision 4 to 32: a ``TruncSeries`` unit
 and a recognized ``unit_invert`` unit (a constant times 1 + t h times
@@ -7,8 +7,8 @@ commutes with truncation of the precision window.  ``weierstrass_div``
 reassembles g = q f + r for a divisor whose t-coefficient w is not 1, so
 the inverse of w is a real Newton iteration.  A start that is not an
 inverse mod t raises, an iteration cut short of its residual check raises
-instead of returning an inexact result, and an exact start costs one
-product.
+instead of returning an inexact result in every caller, an exact start
+costs one product, and only the last steps run at full precision.
 """
 
 import random
@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 
 import patchalg.kummer as kummer
 import patchalg.series as series
-from patchalg.analytic import AnalyticElement, Configuration, chart_ratio_unit, random_element, unit_invert
+from patchalg.analytic import (
+    AnalyticElement, Configuration, chart_ratio_unit, random_element, t_element, unit_invert,
+)
+from patchalg.patching import PatchMatrix
 from patchalg.scalars import QQ, Scalar
 from patchalg.series import BivarSeries, TruncSeries, newton_inverse, poly_simple_root, weierstrass_div
 from test_rebase_props import QI, configurations
@@ -105,23 +108,54 @@ def test_wrong_start_raises():
 
 
 def test_iterations_cut_short_raise(monkeypatch):
-    """With one pass allowed, the inverse, the simple root and the Hensel
-    root all fail their residual check and raise."""
+    """With one pass allowed, every caller of ``series.newton_lift`` fails
+    its residual check and raises: the series inverse, ``unit_invert``, the
+    inverse of w != 1 in ``weierstrass_div``, ``invert_near_identity``, the
+    simple root and the Hensel root."""
     monkeypatch.setattr(series, "newton_passes", lambda prec: 1)
-    monkeypatch.setattr(kummer, "newton_passes", lambda prec: 1)
     u = TruncSeries.from_scalars(QQ, [2, 1, 3], 16)
-    with pytest.raises(ArithmeticError):
-        u.invert_unit()
     p = [TruncSeries.from_scalars(QQ, [1, 1], 16), TruncSeries.from_scalars(QQ, [2, 0, 1], 16),
          TruncSeries.from_scalars(QQ, [0, 1], 16)]
-    with pytest.raises(ArithmeticError):
-        poly_simple_root(p, Scalar.of(QQ, "-1/2"))
     cfg = Configuration(QQ, [0, 1, 2], 16)
-    with pytest.raises(ArithmeticError):
-        kummer.hensel_root(AnalyticElement.from_terms(cfg, 0, 1, {(0, 2): cfg.t_series(1)}), 2)
+    a = AnalyticElement.from_terms(cfg, 0, 1, {(0, 2): cfg.t_series(1)})  # 1 + t z_0^2
+    g = bv({(0, 0): 1, (2, 3): 4}, 16)
+    f = bv({(0, 2): 1, (1, 0): 3, (1, 1): 1, (2, 0): -2, (2, 1): 5}, 16)
+    A = PatchMatrix([[a, t_element(cfg, 0)], [AnalyticElement.zero(cfg, 0), a]])
+    for call in (u.invert_unit, lambda: unit_invert(a), lambda: weierstrass_div(g, f),
+                 A.invert_near_identity, lambda: poly_simple_root(p, Scalar.of(QQ, "-1/2")),
+                 lambda: kummer.hensel_root(a, 2)):
+        with pytest.raises(ArithmeticError):
+            call()
     monkeypatch.undo()
     assert u * u.invert_unit() == TruncSeries.one(QQ, 16)
+    assert (a * unit_invert(a)).is_one()
+    q, r = weierstrass_div(g, f)
+    assert q * f + r == g.truncate(q.prec)
+    assert (A * A.invert_near_identity()).equals(PatchMatrix.identity(cfg, 2, 0))
     assert poly_simple_root(p, Scalar.of(QQ, "-1/2")).vt() == 0
+    assert (kummer.hensel_root(a, 2) ** 2).equals(a)
+
+
+def test_series_inverse_runs_few_full_precision_products(monkeypatch):
+    """Step k runs mod t^min(2^k, N): of the 12 products of an N = 32
+    inverse, only the start's check, the last step and the last check are
+    at full precision (11 of 11 were when every step ran at N)."""
+    rng = random.Random(32)
+    u = TruncSeries.from_scalars(QQ, [1] + [rng.randint(-9, 9) for _ in range(31)], 32)
+    precisions = []
+    real = TruncSeries.__mul__
+
+    def counted(self, other):
+        out = real(self, other)
+        precisions.append(out.prec)
+        return out
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    inv = u.invert_unit()
+    monkeypatch.undo()
+    assert len(precisions) == 12
+    assert precisions.count(32) <= 4
+    assert u * inv == TruncSeries.one(QQ, 32)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -1,6 +1,6 @@
 """Digests of benchmark results: kummer-qi norms, Kummer products, Hensel
 roots, prime-point valuations or Weierstrass divisions, ring-ops results
-and oracle expansions, and cartan factors.
+and oracle expansions, cartan factors, and inverses of cartan inputs.
 
     python3 tools/norm_digest.py --seeds 1 2 3
     python3 tools/norm_digest.py --kind product --seeds 1 2 3
@@ -9,6 +9,7 @@ and oracle expansions, and cartan factors.
     python3 tools/norm_digest.py --kind ring --seeds 1 2 3
     python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
     python3 tools/norm_digest.py --kind cartan --seeds 1 2 3
+    python3 tools/norm_digest.py --kind inverse --seeds 1 2 3
 
 Run from the root of a checkout; the program is imported from ``src/`` and
 the requests are the ones ``bench/run.py`` draws for a seed.  For every
@@ -41,14 +42,17 @@ stream and the SHA-256 of the result's exact data:
   exact series) of the factors b1 and b2 of ``cartan_factor`` or
   ``gl_factor``, and the round count; for a gl request also the result's
   notes (cleared shift, ``det_order``, ``cut_det_order``) and its
-  residual precision.
+  residual precision;
+* ``inverse``, cartan factor requests (a, i): every entry of the exact
+  inverse ``a.invert_near_identity()``.
 
 Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``KummerElement.__mul__``, ``hensel_root``,
 ``prime_point_valuation``, ``weierstrass_div``, ``ae_dot``, ``rebase``,
-``split``, ``oracle_of_element``, ``OracleSeries``, ``cartan_factor`` or
-``gl_factor`` (or the series product under them) is checked by running this
-script in both and comparing the outputs.  The ``norm``, ``product`` and
+``split``, ``oracle_of_element``, ``OracleSeries``, ``cartan_factor``,
+``gl_factor`` or ``PatchMatrix.invert_near_identity`` (or the series product
+under them) is checked by running this script in both and comparing the
+outputs.  The ``norm``, ``product`` and
 ``valuation`` kinds also check ``kummer._coordinate_products`` and ``LocalizedElement``
 arithmetic (``*``, ``+``, ``-``, ``rebase`` and ``localized_dot``), which
 every Kummer product and norm goes through.  The script is part of the
@@ -173,6 +177,10 @@ def cartan_data(ctx, kind, inp) -> list:
             sorted(res.notes.items()), res.residual_precision]
 
 
+def inverse_data(ctx, kind, inp) -> list:
+    return matrix_data(inp[0].invert_near_identity())
+
+
 # --kind -> (workload, request kinds digested, result data of one request)
 KINDS = {
     "norm": ("kummer-qi", {"norm-law"}, norm_data),
@@ -183,6 +191,7 @@ KINDS = {
     "ring": ("ring-ops", {"mul", "add", "roundtrip", "split"}, ring_data),
     "oracle": ("ring-ops", {"mul", "oracle"}, oracle_data),
     "cartan": ("cartan", {"factor", "gl"}, cartan_data),
+    "inverse": ("cartan", {"factor"}, inverse_data),
 }
 
 
