@@ -713,12 +713,12 @@ def ae_dot(pairs, weights=None) -> AnalyticElement:
     The workhorse behind element and matrix products: every series product
     is convolved straight into a shared accumulator (``add_product``), so no
     product is built as a series of its own and nothing is re-canonicalized
-    between summands.  Each factor's ``intvec.terms`` (per component) are
-    listed once per call, however many products the factor enters.  A
-    product on f0 or on a single index goes to its slot.  A cross product
-    z_i^a z_j^b (i < j) goes to cell (a, b) of a grid kept per index pair,
-    and after the last product each grid is reduced once, from the highest
-    a + b down: by
+    between summands.  Each pair lists the ``intvec.terms`` (per component)
+    of its factors' slots once, so a factor that enters several pairs is
+    listed once in each.  A product on f0 or on a single index goes to its
+    slot.  A cross product z_i^a z_j^b (i < j) goes to cell (a, b) of a
+    grid kept per index pair, and after the last product each grid is
+    reduced once, from the highest a + b down: by
 
         z_i^a z_j^b = alpha z_i^a z_j^(b-1) + beta z_i^(a-1) z_j^b,
 
@@ -1128,11 +1128,13 @@ class PrimePoint:
     image of each power z_k^n is a lazy stream of eps-coefficients, kept on
     the point and extended only as far as a valuation asks, so a valuation
     of value v computes no image coefficient above eps-degree v and a
-    repeated one computes none (``prime_point_valuation``).  Every image
-    coefficient has lambda's precision.
+    repeated one computes none (``prime_point_valuation``).  Beside it a
+    second stream keeps each coefficient's ``intvec.terms``, listed the
+    first time a valuation reads it, so a repeated valuation lists only its
+    own slots.  Every image coefficient has lambda's precision.
     """
 
-    __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst")
+    __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst", "_listed")
 
     def __init__(self, cfg: Configuration, chart: int, lam: TruncSeries, label: str = "custom",
                  ring_support: Optional[Iterable[int]] = None):
@@ -1155,6 +1157,7 @@ class PrimePoint:
                 )
         self.ring_support = support
         self._subst: dict = {}
+        self._listed: dict = {}
 
     def __repr__(self) -> str:
         return f"PrimePoint({self.label}: z{self.chart} - lambda, support={sorted(self.ring_support)})"
@@ -1164,6 +1167,14 @@ class PrimePoint:
         out = self._subst.get((k, n))
         if out is None:
             out = self._subst[(k, n)] = self._power(k, n) if n > 1 else self._generator(k)
+        return out
+
+    def _image_terms(self, k: int, n: int) -> _Stream:
+        """The ``intvec.terms`` of each eps-coefficient of ``_image(k, n)``."""
+        out = self._listed.get((k, n))
+        if out is None:
+            img = self._image(k, n)
+            out = self._listed[(k, n)] = _Stream(lambda d: terms(img[d]._c))
         return out
 
     def _generator(self, k: int) -> _Stream:
@@ -1258,8 +1269,8 @@ def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",
     return pt, LocalizedElement(body, 0)
 
 
-def prime_point_valuation(x, pt: PrimePoint) -> int:
-    """Order of vanishing of x along z_j = lambda.
+def prime_point_valuation(x, pt: PrimePoint, bound: Optional[int] = None) -> int:
+    """Order of vanishing of x along z_j = lambda, or its minimum with bound.
 
     Accepts analytic or localized elements supported inside the prime's
     ring; t-power shifts contribute nothing (t stays a unit at the point).
@@ -1267,12 +1278,19 @@ def prime_point_valuation(x, pt: PrimePoint) -> int:
     d = 0, 1, ... below x's precision are summed one at a time, each in one
     accumulator fed by every term's image coefficient of degree d times the
     term's series, and the first degree that survives is returned.  The
-    images extend only to that degree.  Every degree is taken at the lower
-    of f0's precision and lambda's, the precision of every image
-    coefficient (f0's alone when x has no z-term).
+    images and their term lists extend only to that degree.  Every degree
+    is taken at the lower of f0's precision and lambda's, the precision of
+    every image coefficient (f0's alone when x has no z-term).
+
+    With a bound b no larger than x's precision, only the degrees below b
+    are summed and min(v, b) is returned: degrees below b that all vanish
+    prove v >= b.  A larger bound is no bound.
     """
     x = LocalizedElement.of(x)
+    proven = bound is not None and bound <= x.precision
     if x.is_zero():
+        if proven:
+            return bound
         raise ValueError("element is indistinguishable from 0 at this precision")
     body = x.body.rebase(pt.chart)
     if not body.support() <= pt.ring_support:
@@ -1280,19 +1298,23 @@ def prime_point_valuation(x, pt: PrimePoint) -> int:
             f"element supported on {sorted(body.support())} but the prime only "
             f"substitutes {sorted(pt.ring_support)}"
         )
-    images = [(pt._image(k, n), s, terms(s._c)) for k, n, s in body.terms()]
+    top = bound if proven else body.precision
+    images = [(pt._image(k, n), pt._image_terms(k, n), s, terms(s._c))
+              for k, n, s in body.terms()] if top else []
     prec = min(body.f0.prec, pt.lam.prec) if images else body.f0.prec
     field = body.cfg.field
-    for d in range(body.precision):
+    for d in range(top):
         acc = _SeriesAcc(field, prec)
         if d == 0:
             acc.add_ints(body.f0, (1,) + (0,) * (field.dim - 1), 1)
-        for img, s, ts in images:
+        for img, listed, s, ts in images:
             c = img[d]
             if not c.is_zero():
-                acc.add_product(c, s, None, ts)
+                acc.add_product(c, s, listed[d], ts)
         if not acc.is_zero():
             return d
+    if proven:
+        return bound
     raise ValueError(
         "order exceeds the eps budget (or the element vanishes at this precision)"
     )

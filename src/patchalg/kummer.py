@@ -41,7 +41,7 @@ from .analytic import (
     weierstrass_prepare_linear,
 )
 from .scalars import FieldError, Scalar, cyclotomic_field, root_of_unity
-from .series import BivarSeries, newton_lift, prime_valuation as bivar_prime_valuation
+from .series import INF, BivarSeries, newton_lift, prime_valuation as bivar_prime_valuation
 
 __all__ = [
     "ScenarioError",
@@ -480,15 +480,31 @@ class KummerElement:
         """min over coordinates of the prime valuation (unramified formula).
 
         u2 powers contribute nothing: the scenario validates v(u2) = 0 at
-        its points before elements like this exist.
+        its points before elements like this exist.  Each nonzero coordinate
+        is valued with the least valuation found so far as its bound, so
+        after the first one no surviving eps-degree is summed again.  A
+        coordinate that vanishes through its own precision P only shows
+        v >= P: the minimum is undetermined, and this raises, when no
+        coordinate's valuation is known or some such P lies below the least
+        known one.  The result, value or error, does not depend on the
+        order of the coordinates.
         """
-        best = None
+        best = vanishing = INF
         for c in self.coords:
             if c.is_zero():
                 continue
-            v = prime_point_valuation(c.elem, pt)
-            best = v if best is None else min(best, v)
-        if best is None:
+            P = c.elem.precision
+            v = prime_point_valuation(c.elem, pt, min(best, P))
+            if v < P:
+                best = v
+            else:
+                vanishing = min(vanishing, P)
+        if vanishing < best:
+            raise ValueError(
+                "order exceeds the eps budget: a coordinate vanishes through "
+                f"eps-degree {vanishing}, below every known coordinate valuation"
+            )
+        if best == INF:
             raise ValueError("element is zero at this precision")
         return best
 

@@ -196,12 +196,16 @@ def test_ext_valuation_base_element(scenario):
     assert x.valuation(scenario.pt_r) == prime_point_valuation(scenario.r, scenario.pt_r) == 1
 
 
-def test_norm_law_over_cyclotomic(scenario):
-    lifted_cfg = lift_configuration(Configuration(QQ, [0, 1, 2], 10))
-    sc = build_scenario(lifted_cfg, **SCEN)
-    ext = KummerExtension.create(
-        sc.cfg, sc.j, 4, sc.rp.rebase(sc.j), u2=sc.u2, radicand_u2_power=1
-    )
+@pytest.fixture(scope="module")
+def quartic():
+    """The degree-4 extension of radicand r'/u2 over the lifted scenario."""
+    sc = build_scenario(lift_configuration(Configuration(QQ, [0, 1, 2], 10)), **SCEN)
+    return sc, KummerExtension.create(sc.cfg, sc.j, 4, sc.rp.rebase(sc.j), u2=sc.u2,
+                                      radicand_u2_power=1)
+
+
+def test_norm_law_over_cyclotomic(quartic):
+    sc, ext = quartic
     # the degree-4 action has exact order 4 on the generator
     alpha = ext.generator()
     for l in (1, 2, 3):
@@ -217,6 +221,55 @@ def test_norm_law_over_cyclotomic(scenario):
         for l in range(1, 4):
             assert xw.galois(l).valuation(sc.pt_r) == v
         assert prime_point_valuation(xw.norm().elem, sc.pt_r) == 4 * v
+
+
+def kummer_valuation(ext, coords, pt):
+    try:
+        return ext.element(coords).valuation(pt)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("others, want", [
+    ((1, 2, 4), 1),  # vanishing through 3 shows v >= 3 > 1
+    ((3, 4, 5), 3),  # ... and v >= 3 = 3
+    ((4, 5, 4), "eps-degree 3"),  # 3 < 4: undetermined
+    ((None, None, None), "eps-degree 3"),  # no valuation known
+])
+def test_ext_valuation_does_not_depend_on_where_a_coordinate_vanishes(quartic, others, want):
+    """r^3 mod t^3 vanishes through its precision 3.  Placed first, in the
+    middle or last beside three coordinates u r^e (None: zero), the element
+    has one outcome, value or error."""
+    sc, ext = quartic
+    ring = frozenset(sc.cfg.indices) - {sc.i}
+    rng = random.Random(7)
+    zero = AnalyticElement.zero(sc.cfg, sc.j)
+    known = [zero if e is None else random_ring_element(sc.cfg, rng, ring, sc.j) * sc.r ** e
+             for e in others]
+    assert [prime_point_valuation(c, sc.pt_r) for c in known if not c.is_zero()] == \
+        [e for e in others if e is not None]
+    vanishing = (sc.r ** 3).truncate(3)
+    with pytest.raises(ValueError, match="exceeds the eps budget"):
+        prime_point_valuation(vanishing, sc.pt_r)
+    got = {kummer_valuation(ext, known[:p] + [vanishing] + known[p:], sc.pt_r)
+           for p in (0, 1, 3)}
+    assert len(got) == 1
+    got = got.pop()
+    assert got == want if isinstance(want, int) else want in got
+
+
+def test_ext_valuation_is_the_least_coordinate_valuation(quartic):
+    """With every coordinate's valuation defined, the element's is their
+    minimum, in every order of the coordinates."""
+    sc, ext = quartic
+    ring = frozenset(sc.cfg.indices) - {sc.i}
+    rng = random.Random(8)
+    for _ in range(6):
+        coords = [random_ring_element(sc.cfg, rng, ring, sc.j) * sc.r ** rng.randrange(4)
+                  for _ in range(4)]
+        want = min(prime_point_valuation(c, sc.pt_r) for c in coords)
+        for p in range(4):
+            assert ext.element(coords[p:] + coords[:p]).valuation(sc.pt_r) == want
 
 
 # -- certificate -----------------------------------------------------------------

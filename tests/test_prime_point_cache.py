@@ -9,13 +9,20 @@ coefficient above eps-degree v.  Every computed coefficient has lambda's
 precision.  Over Q(i) with two to five centers and N up to 32, the image
 of z_k times its denominator D + d eps is lambda + eps, and one cold
 valuation at N = 32 makes a handful of series products.
+
+The work gates: a repeated valuation lists the terms of the element's own
+slots and of no image coefficient, and a degree-4 Kummer element whose
+four coordinates have valuation v sums v + 1 eps-degrees for its first
+coordinate and v for each other one, whose bound is v.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchalg import analytic
 from patchalg.analytic import (
     AnalyticElement,
     Configuration,
@@ -24,7 +31,7 @@ from patchalg.analytic import (
     prime_point_valuation,
     random_element,
 )
-from patchalg.kummer import build_scenario
+from patchalg.kummer import KummerExtension, build_scenario, random_ring_element
 from patchalg.scalars import Scalar, cyclotomic_field
 from patchalg.series import TruncSeries
 from test_prime_point_props import eps_mul
@@ -100,6 +107,45 @@ def test_repeated_valuation_makes_no_eps_product():
     cold = computed(pt)
     assert valuation(x, pt) == first
     assert computed(pt) == cold
+
+
+def test_repeated_valuation_lists_only_its_own_slots(monkeypatch):
+    """A warm valuation hands every image coefficient's kept term list to
+    the product, so it lists each slot of x once and nothing else."""
+    rng = random.Random(3)
+    x = (ring_element(rng) * SC.r ** 2).rebase(WARM.chart)
+    pt = fresh(WARM)
+    assert valuation(x, pt) == 2
+    listed = []
+    real = analytic.terms
+    monkeypatch.setattr(analytic, "terms", lambda comps: listed.append(comps) or real(comps))
+    assert valuation(x, pt) == 2
+    monkeypatch.undo()
+    assert sorted(map(id, listed)) == sorted(id(s._c) for s in x.zc.values())
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 3])
+def test_kummer_valuation_sums_no_surviving_degree_twice(monkeypatch, v):
+    """Four coordinates of valuation v at a warm point: the first sums the
+    eps-degrees 0..v, and each other one, bounded by v, the degrees below
+    v, so (v + 1) + 3v degree sums, one accumulator each."""
+    ext = KummerExtension.create(CFG, SC.j, 4, SC.rp.rebase(SC.j), u2=SC.u2, radicand_u2_power=1)
+    rng = random.Random(11)
+    ring = frozenset(CFG.indices) - {SC.i}
+    coords = [random_ring_element(CFG, rng, ring, SC.j) * SC.r ** v for _ in range(4)]
+    assert WARM.chart == SC.j and [prime_point_valuation(c, WARM) for c in coords] == [v] * 4
+    x = ext.element(coords)
+    sums = []
+
+    class Counted(_SeriesAcc):
+        def __init__(self, *args):
+            sums.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(analytic, "_SeriesAcc", Counted)
+    assert x.valuation(WARM) == v
+    monkeypatch.undo()
+    assert len(sums) == (v + 1) + 3 * v
 
 
 def test_valuation_stops_at_the_first_surviving_degree():

@@ -7,7 +7,13 @@ z_j = lambda and random elements of its ring: some with f0 = 0, some times
 substitutes z_j = lambda + eps and z_k = (lambda + eps)/(1 + (c_j - c_k)
 (lambda + eps)) into every term, expands to the full budget N in eps, and
 reads off the first nonzero eps-degree.  The valuation must be that degree
-when it is below N, and an error otherwise.
+when it is below N, and an error otherwise.  Over Q(i) lambda's
+coefficients have nonzero imaginary parts, and an element is x + i y for
+two random elements x and y.
+
+A valuation with a bound b is min(v, b) whenever the unbounded valuation v
+is defined; otherwise it is b for b up to x's precision N and an error
+above it.
 """
 
 import random
@@ -68,14 +74,18 @@ def points_and_elements(draw):
     cfg = draw(configurations())
     rng = random.Random(draw(st.integers(0, 2**32)))
     j = draw(st.sampled_from(list(cfg.indices)))
-    vals = [Scalar.of(cfg.field, rng.randint(-5, 5), rng.randint(-5, 5) if cfg.field == QI else 0)
-            for _ in range(3)]
+    im = [b for b in range(-5, 6) if b] if cfg.field == QI else [0]
+    vals = [Scalar.of(cfg.field, rng.randint(-5, 5), rng.choice(im)) for _ in range(3)]
     lam = cfg.series(vals + [0] * (cfg.precision - 3))
     support = [k for k in cfg.indices
                if k == j or not (Scalar.one(cfg.field)
                                  + (cfg.centers[j] - cfg.centers[k]) * vals[0]).is_zero()]
     pt = PrimePoint(cfg, j, lam, ring_support=support)
-    x = random_element(cfg, rng, chart=j, support=support, max_zdeg=draw(st.integers(1, 3)), tdeg=4)
+    zdeg = draw(st.integers(1, 3))
+    x = random_element(cfg, rng, chart=j, support=support, max_zdeg=zdeg, tdeg=4)
+    if cfg.field == QI:
+        y = random_element(cfg, rng, chart=j, support=support, max_zdeg=zdeg, tdeg=4)
+        x = x + y.scale(Scalar.of(QI, 0, 1))
     if draw(st.booleans()):
         x = AnalyticElement(cfg, j, cfg.zero_series(), x.zc)
     m = draw(st.integers(0, 5))
@@ -97,3 +107,22 @@ def test_valuation_is_the_first_degree_of_the_full_expansion(case):
     else:
         with pytest.raises(ValueError, match="exceeds the eps budget"):
             prime_point_valuation(x, pt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(points_and_elements())
+def test_bounded_valuation_is_the_minimum_with_the_bound(case):
+    pt, x = case
+    N = x.precision
+    try:
+        v = prime_point_valuation(x, pt)
+    except ValueError:
+        v = None
+    for b in range(N + 2):
+        if v is not None:
+            assert prime_point_valuation(x, pt, b) == min(v, b)
+        elif b <= N:
+            assert prime_point_valuation(x, pt, b) == b
+        else:
+            with pytest.raises(ValueError):
+                prime_point_valuation(x, pt, b)

@@ -5,6 +5,7 @@ and oracle expansions, cartan factors, and inverses of cartan inputs.
     python3 tools/norm_digest.py --seeds 1 2 3
     python3 tools/norm_digest.py --kind product --seeds 1 2 3
     python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
+    python3 tools/norm_digest.py --kind valuation --seeds 1 2 3
     python3 tools/norm_digest.py --kind bivar --seeds 1 2 3
     python3 tools/norm_digest.py --kind ring --seeds 1 2 3
     python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
@@ -24,7 +25,10 @@ stream and the SHA-256 of the result's exact data:
 * ``hensel``, kummer-qi hensel requests: the series data of the root;
 * ``valuation``, kummer-qi norm-law and certificate requests: the
   prime-point valuations of x, of x r^w, of its conjugates and of its
-  norm, and the whole certificate (valuation table, norm-law evidence,
+  norm, the unbounded valuation of every coordinate of x, of x r^w and
+  of each conjugate on its own (None for a zero coordinate), which a
+  Kummer valuation bounds by the least one found and may leave unsummed,
+  and the whole certificate (valuation table, norm-law evidence,
   verdict);
 * ``bivar``, kummer-qi certificate requests: the quotient and remainder
   of every distinct ``weierstrass_div`` a certificate makes on a scenario
@@ -112,7 +116,13 @@ def valuation_data(ctx, kind, inp):
     if kind.name == "certificate":
         return out.to_dict()
     v0, vw, conj, nrm = out
-    return [v0, vw, conj, prime_point_valuation(nrm, ctx["sc"].pt_r)]
+    x, w = inp
+    pt = ctx["sc"].pt_r
+    xw = x.mul_base(ctx["r_pows"][w]) if w else x
+    elements = [x, xw] + [xw.galois(l) for l in range(1, ctx["ext"].degree)]
+    coords = [[None if c.is_zero() else prime_point_valuation(c.elem, pt) for c in y.coords]
+              for y in elements]
+    return [v0, vw, conj, prime_point_valuation(nrm, pt), coords]
 
 
 def bivar_series_data(s) -> list:
