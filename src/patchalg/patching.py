@@ -20,12 +20,15 @@ one t-coefficient at a time and only as deep as each valuation needs.
 
 The lift and the round count hold the t^m coefficient of a whole matrix as
 one integer z-polynomial, one denominator and a numerator per entry, slot
-and coordinate, so a coefficient product is one integer multiply per pair
-of numerators.  Their kernel, ``_combine``, joins a left factor's columns
-to a right factor's rows, routes each product as ``ae_dot`` routes series
-products and reduces each cross cell once by the configuration's cached
-partial-fraction coefficients; the factors' series are built once, at the
-end.
+and coordinate.  Their kernel, ``_Kernel.combine``, holds each left factor
+L, per right slot s2, as the rows of sum_s1 L[r, k, s1] z^s1 z^s2 already
+reduced to canonical slots by the configuration's partial-fraction
+weights, Kronecker-packed with all rows r of one k in one integer at a
+slot width taken from a bound, and kept on L for the whole factorization.
+A product with a right factor R is then one integer multiply-add per
+numerator of R, no cross cell is ever formed, and each output column is
+unpacked once per t-coefficient.  Over Q(i) the same kernel runs on
+coordinates.  The factors' series are built once, at the end.
 
 `gl_factor` reduces the general (localized, invertible) case to the Cartan
 step: clear t-denominators, normalize the adjugate by the unit part of the
@@ -40,6 +43,7 @@ pipeline" diagnostic rather than guessed at.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -54,7 +58,7 @@ from .analytic import (
     membership,
     unit_invert,
 )
-from .intvec import apply_rule, content, coord_mul
+from .intvec import apply_rule, content, coord_mul, mag, pack, unpack, width
 from .series import INF, NonUnitError, TruncSeries, newton_inverse
 
 __all__ = [
@@ -250,15 +254,30 @@ def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 # the Cartan step, one t-coefficient at a time
 #
-# The t^m coefficient of a matrix is one z-polynomial over K in integer form:
-# a pair (den, comps) of one denominator and, per coordinate (one over Q, re
-# and im over Q(i)), a map from (row, col, slot) to a nonzero numerator, the
-# slot None for f0 and (k, n) for z_k^n.  None is the zero matrix.
+# The t^m coefficient of a matrix is one z-polynomial over K in integer form,
+# a ``_Coef``: one denominator and, per coordinate (one over Q, re and im
+# over Q(i)), a map from (row, col, slot) to a nonzero numerator, the slot
+# None for f0 and (k, n) for z_k^n.  None is the zero matrix.
 # ---------------------------------------------------------------------------
 
 
-def _normal(den: int, comps) -> Optional[tuple]:
-    """The coefficient (den, comps) in lowest terms, without zero
+class _Coef:
+    """The coefficient comps / den, with the caches that the methods of
+    ``_Kernel`` of the same names fill: ``left``, its summary as a left
+    factor, ``shapes``, the shape of its rows per right slot, ``packed``,
+    its packed rows per slot width and stride, and ``right``, its summary
+    as a right factor.  They live as long as the coefficient: one
+    factorization."""
+
+    __slots__ = ("den", "comps", "left", "shapes", "packed", "right")
+
+    def __init__(self, den: int, comps: tuple):
+        self.den, self.comps = den, comps
+        self.left, self.shapes, self.packed, self.right = None, {}, {}, None
+
+
+def _normal(den: int, comps) -> Optional[_Coef]:
+    """The coefficient comps / den in lowest terms, without zero
     numerators; None if nothing is left."""
     comps = tuple({s: v for s, v in c.items() if v} for c in comps)
     if not any(comps):
@@ -267,21 +286,24 @@ def _normal(den: int, comps) -> Optional[tuple]:
     if g > 1:
         den //= g
         comps = tuple({s: v // g for s, v in c.items()} for c in comps)
-    return den, comps
+    return _Coef(den, comps)
 
 
-def _coefficient(a: PatchMatrix, m: int) -> Optional[tuple]:
-    """The t^m coefficient of the matrix of a's bodies."""
+def _coefficients(a: PatchMatrix) -> list:
+    """The t^m coefficients, m below a's precision, of the matrix of a's
+    bodies."""
+    prec = a.precision
     series = [((r, c, slot), s) for r, row in enumerate(a.rows) for c, x in enumerate(row)
               for slot, s in ((None, x.body.f0), *x.body.zc.items())]
     den = lcm(*(s.den for _key, s in series))
-    comps = tuple({} for _ in range(a.cfg.field.dim))
+    coeffs = [tuple({} for _ in range(a.cfg.field.dim)) for _ in range(prec)]
     for key, s in series:
         f = den // s.den
-        for comp, c in zip(comps, s._c):
-            if c[m]:
-                comp[key] = c[m] * f
-    return _normal(den, comps)
+        for d, c in enumerate(s._c):
+            for m in range(prec):
+                if c[m]:
+                    coeffs[m][d][key] = c[m] * f
+    return [_normal(den, comps) for comps in coeffs]
 
 
 def _difference(x, y):
@@ -289,51 +311,16 @@ def _difference(x, y):
     if y is None:
         return x
     if x is None:
-        return y[0], tuple({s: -v for s, v in c.items()} for c in y[1])
-    den = lcm(x[0], y[0])
-    fx, fy = den // x[0], den // y[0]
+        return _Coef(y.den, tuple({s: -v for s, v in c.items()} for c in y.comps))
+    den = lcm(x.den, y.den)
+    fx, fy = den // x.den, den // y.den
     comps = []
-    for cx, cy in zip(x[1], y[1]):
+    for cx, cy in zip(x.comps, y.comps):
         c = {s: v * fx for s, v in cx.items()}
         for s, v in cy.items():
             c[s] = c.get(s, 0) - v * fy
         comps.append(c)
     return _normal(den, comps)
-
-
-def _conv(out: tuple, xs: tuple, ys: tuple, _arg, scale: int) -> None:
-    """out += scale * x * y on one coordinate of each factor, a real kernel
-    for ``intvec.apply_rule`` (it takes no argument of its own).
-
-    A numerator of x at (r, k, s1) meets each of y at (k, c, s2), and their
-    product goes to row r and column c, in the slot where ``ae_dot`` sends
-    its series: f0 times a slot to that slot, z_k^a z_k^b to (k, a + b),
-    and a cross product z_k^a z_l^b (k < l) to the cell (k, a, l, b), a
-    slot of four entries, which ``_combine`` reduces once at the end.
-    """
-    (out,), (xs,), (ys,) = out, xs, ys
-    rows = {}
-    for (k, c, s2), v in ys.items():
-        rows.setdefault(k, []).append((c, s2, v))
-    get = out.get
-    for (r, k, s1), u in xs.items():
-        right = rows.get(k)
-        if right is None:
-            continue
-        u *= scale
-        if s1 is None:
-            for c, s2, v in right:
-                key = r, c, s2
-                out[key] = get(key, 0) + u * v
-            continue
-        j, a = s1
-        for c, s2, v in right:
-            if s2 is None:
-                key = r, c, s1
-            else:
-                l, b = s2
-                key = r, c, (j, a + b) if j == l else (j, a, l, b) if j < l else (l, b, j, a)
-            out[key] = get(key, 0) + u * v
 
 
 def _valuation(s, limit: int) -> int:
@@ -363,44 +350,208 @@ def _products(left, right, d: int) -> list:
     return out
 
 
-def _combine(cfg: Configuration, base, products: list):
-    """base - sum of L * R over the coefficients (L, R) in products; base
-    may be None (zero), the factors may not.
+def _column_products(out, xs, ys, fac, scale: int) -> None:
+    """out[c] += scale * fac[s2] * v * P for every numerator v of y at
+    (k, c, s2), P the packed rows of x at (k, s2): one integer multiply-add
+    each, a real kernel for ``intvec.apply_rule``."""
+    (out,), (xs,), (ys,) = out, xs, ys
+    for (k, c, s2), v in ys.items():
+        packed = xs.get((k, s2))
+        if packed:
+            out[c] += packed * (v * scale * fac[s2])
 
-    All products are summed over one common denominator, one
-    ``intvec.apply_rule`` over the real kernel ``_conv`` per pair.  Each
-    cross cell (r, c, (k, a, l, b)) is then reduced once by its
-    partial-fraction expansion, ``Configuration.rewrite_ints``.
+
+class _Kernel:
+    """Sums of products of t-coefficients of n x n matrices over cfg
+    (``combine``), with the weights of each slot product and the keys of
+    each packed layout kept for one factorization.
+
+    A packed column holds one integer per place of all rows r: row r from
+    place r * stride on, each place w bits wide, the places of a row
+    ordered f0 first, then z_k^1 for every index k, then z_k^2, and so on.
     """
-    if not products:
-        return base
-    den = 1 if base is None else base[0]
-    for (lden, _lc), (rden, _rc) in products:
-        den = lcm(den, lden * rden)
-    if base is None:
-        acc = tuple({} for _ in products[0][0][1])
-    else:
-        f = den // base[0]
-        acc = tuple({s: v * f for s, v in c.items()} for c in base[1])
-    for (lden, lc), (rden, rc) in products:
-        apply_rule(_conv, acc, lc, rc, None, -(den // (lden * rden)))
-    cells = {key for c in acc for key in c if key[2] and len(key[2]) == 4}
-    if cells:
-        reduced = [(r, c, [comp.pop((r, c, cell), 0) for comp in acc], cfg.rewrite_ints(*cell))
-                   for r, c, cell in cells]
-        rden = lcm(*(d for *_w, rw in reduced for _kn, _nums, d in rw))
-        if rden > 1:
-            den *= rden
-            for comp in acc:
-                for s in comp:
-                    comp[s] *= rden
-        for r, c, w, rw in reduced:
-            for kn, nums, d in rw:
-                f, key = rden // d, (r, c, kn)
-                for comp, v in zip(acc, coord_mul(w, nums)):
-                    if v:
-                        comp[key] = comp.get(key, 0) + v * f
-    return _normal(den, acc)
+
+    __slots__ = ("cfg", "n", "_targets", "_weights", "_keys")
+
+    def __init__(self, cfg: Configuration, n: int):
+        self.cfg, self.n = cfg, n
+        self._targets, self._weights, self._keys = {}, {}, {}
+
+    def targets(self, s1, s2) -> tuple:
+        """z^s1 z^s2 in canonical slots, routed as ``ae_dot`` routes series
+        products, as (den, last place, largest weight numerator, ((place,
+        nums), ...)), each weight nums / den.  A product with f0 keeps the
+        other slot, z_k^a z_k^b is z_k^(a+b), and a cross product is its
+        partial-fraction expansion, ``Configuration.rewrite_ints``."""
+        hit = self._targets.get((s1, s2))
+        if hit is None:
+            cfg = self.cfg
+            nc = len(cfg.centers)
+            if s1 is None or s2 is None or s1[0] == s2[0]:
+                slot = s2 if s1 is None else s1 if s2 is None else (s1[0], s1[1] + s2[1])
+                terms = [(slot, (1,) + (0,) * (cfg.field.dim - 1), 1)]
+            else:
+                terms = cfg.rewrite_ints(*s1, *s2)
+            den = lcm(*(d for _kn, _nums, d in terms))
+            places = [(0 if kn is None else 1 + (kn[1] - 1) * nc + kn[0],
+                       tuple(v * (den // d) for v in nums)) for kn, nums, d in terms]
+            hit = self._targets[s1, s2] = (den, max(p for p, _nums in places),
+                                           max(abs(v) for _p, nums in places for v in nums),
+                                           places)
+        return hit
+
+    def weights(self, s1, s2, w: int, f: int) -> tuple:
+        """The targets of z^s1 z^s2 times f, packed at width w: per
+        coordinate c of a left numerator u i^c, the pairs (coordinate o of
+        the product, packed weights)."""
+        hit = self._weights.get((s1, s2, w, f))
+        if hit is None:
+            dim = self.cfg.field.dim
+            _den, last, _wmax, places = self.targets(s1, s2)
+            hit = []
+            for c in range(dim):
+                unit = tuple(int(o == c) for o in range(dim))
+                rows = [[0] * (last + 1) for _ in range(dim)]
+                for p, nums in places:
+                    for row, v in zip(rows, coord_mul(unit, nums)):
+                        row[p] = v * f
+                hit.append(tuple((o, pack(row, w)) for o, row in enumerate(rows) if any(row)))
+            hit = self._weights[s1, s2, w, f] = tuple(hit)
+        return hit
+
+    def left(self, x: _Coef) -> dict:
+        """x's summary as a left factor, kept on x: its largest numerator
+        per slot s1, over all entries and coordinates."""
+        if x.left is None:
+            x.left = {}
+            for comp in x.comps:
+                for (_r, _k, s1), u in comp.items():
+                    x.left[s1] = max(x.left.get(s1, 0), abs(u))
+        return x.left
+
+    def right(self, y: _Coef) -> tuple:
+        """(slots, mag, terms) of y as a right factor, kept on y: its
+        distinct slots, its largest numerator and the most numerators, over
+        all coordinates, in one column."""
+        if y.right is None:
+            cols = Counter(c for comp in y.comps for _k, c, _s in comp)
+            y.right = (tuple(dict.fromkeys(s for comp in y.comps for _k, _c, s in comp)),
+                       mag([c.values() for c in y.comps if c]), max(cols.values()))
+        return y.right
+
+    def shape(self, x: _Coef, s2) -> tuple:
+        """(wden, length, mag) of x's rows against the right slot s2, kept
+        on x: the rows sum_s1 x[r, k, s1] z^s1 z^s2 have numerators over
+        x.den * wden, ``length`` places and no numerator above mag, a sum
+        over s1 of x's largest numerator there times the largest weight
+        (twice that over Q(i), where a coordinate of a product is a sum of
+        two)."""
+        hit = x.shapes.get(s2)
+        if hit is None:
+            left = self.left(x)
+            targets = [(self.targets(s1, s2), xmag) for s1, xmag in left.items()]
+            wden = lcm(*(t[0] for t, _xmag in targets))
+            hit = x.shapes[s2] = (
+                wden, 1 + max(t[1] for t, _xmag in targets),
+                len(x.comps) * sum(xmag * t[2] * (wden // t[0]) for t, xmag in targets))
+        return hit
+
+    def packed(self, x: _Coef, slots, w: int, stride: int) -> tuple:
+        """x's rows against the right slots in packed columns (see the
+        class), kept on x: per coordinate, a map from (k, s2) to the rows of
+        every r.  Each is a sum over s1 of one product: the column of
+        x[r, k, s1] over r, packed at the stride, times the packed weights
+        of z^s1 z^s2 (``weights``)."""
+        hit = x.packed.get((w, stride))
+        if hit is None:
+            cols = tuple({} for _ in x.comps)
+            shift = w * stride
+            for col, comp in zip(cols, x.comps):
+                for (r, k, s1), u in comp.items():
+                    col[k, s1] = col.get((k, s1), 0) + (u << shift * r)
+            hit = x.packed[w, stride] = (cols, tuple({} for _ in x.comps), set())
+        cols, comps, done = hit
+        for s2 in slots:
+            if s2 in done:
+                continue
+            done.add(s2)
+            wden = self.shape(x, s2)[0]
+            weights = {s1: self.weights(s1, s2, w, wden // self.targets(s1, s2)[0])
+                       for s1 in self.left(x)}
+            rows = [{} for _ in comps]
+            for c, col in enumerate(cols):
+                for (k, s1), column in col.items():
+                    for o, packed in weights[s1][c]:
+                        rows[o][k] = rows[o].get(k, 0) + column * packed
+            for comp, row in zip(comps, rows):
+                for k, packed in row.items():
+                    comp[k, s2] = packed
+        return comps
+
+    def keys(self, stride: int) -> list:
+        """Per column c, the key (r, c, slot) of every place of a packed
+        column at the stride."""
+        hit = self._keys.get(stride)
+        if hit is None:
+            nc = len(self.cfg.centers)
+            slots = [None, *(((p - 1) % nc, (p - 1) // nc + 1) for p in range(1, stride))]
+            hit = self._keys[stride] = [[(r, c, slot) for r in range(self.n) for slot in slots]
+                                        for c in range(self.n)]
+        return hit
+
+    def combine(self, base, products: list):
+        """base - sum of L * R over the coefficients (L, R) in products;
+        base may be None (zero), the factors may not.
+
+        Each left factor L is held, per right slot s2, as its rows already
+        reduced to canonical slots and packed, all rows of one k in one
+        integer (``packed``), so no cross cell is ever formed.  All
+        products are summed over one common denominator into one packed
+        integer per output column c and coordinate, one integer
+        multiply-add per numerator of R (``_column_products``), and each
+        column is unpacked once.  The slot width comes from a bound on every
+        output slot: per product, the largest scaled row numerator of L
+        (``shape``) times the largest numerator of R times the most terms
+        of one sum over k and s2 (``right``), summed over the products.
+        """
+        if not products:
+            return base
+        n = self.n
+        den = 1 if base is None else base.den
+        plan = []
+        for x, y in products:
+            slots, ymag, terms = self.right(y)
+            shapes = [self.shape(x, s2) for s2 in slots]
+            dens = [x.den * y.den * wden for wden, _length, _mag in shapes]
+            den = lcm(den, *dens)
+            plan.append((x, y, slots, shapes, dens, ymag * terms))
+        bound = stride = 0
+        for p, (x, y, slots, shapes, dens, ybound) in enumerate(plan):
+            fac, top = {}, 0
+            for s2, (_wden, length, xmag), d in zip(slots, shapes, dens):
+                f = fac[s2] = den // d
+                top = max(top, f * xmag)
+                stride = max(stride, length)
+            bound += top * ybound
+            plan[p] = x, y, slots, fac
+        w = width(bound)
+        accs = tuple([0] * n for _ in products[0][0].comps)
+        for x, y, slots, fac in plan:
+            apply_rule(_column_products, accs, self.packed(x, slots, w, stride), y.comps, fac, -1)
+        keys, out = self.keys(stride), []
+        for acc in accs:
+            comp = {}
+            for c, v in enumerate(acc):
+                if v:
+                    comp.update((key, u) for key, u in zip(keys[c], unpack(v, w, n * stride)) if u)
+            out.append(comp)
+        if base is not None:
+            f = den // base.den
+            for comp, b in zip(out, base.comps):
+                get = comp.get
+                for key, v in b.items():
+                    comp[key] = get(key, 0) + v * f
+        return _normal(den, out)
 
 
 def _split(x, i: int) -> tuple:
@@ -413,13 +564,13 @@ def _split(x, i: int) -> tuple:
 
     def part(on: bool):
         comps = tuple({key: v for key, v in c.items()
-                       if (key[2] is not None and key[2][0] == i) == on} for c in x[1])
-        return (x[0], comps) if any(comps) else None
+                       if (key[2] is not None and key[2][0] == i) == on} for c in x.comps)
+        return _Coef(x.den, comps) if any(comps) else None
 
     return part(False), part(True)
 
 
-def _lift(a: PatchMatrix, i: int) -> tuple:
+def _lift(a: PatchMatrix, i: int, kernel: _Kernel) -> tuple:
     """The t-coefficients X_m, Y_m (m < N, X_0 = Y_0 = None) of b1 - 1 and
     b2 - 1 for a = b1 * b2, as integer z-polynomials.
 
@@ -428,15 +579,15 @@ def _lift(a: PatchMatrix, i: int) -> tuple:
     the support split of the right side gives X_m and Y_m.  Each X_p Y_q
     multiplies z_k (k != i) or 1 by z_i, so the z-degree never grows.
     """
-    X, Y = [None], [None]
+    A, X, Y = _coefficients(a), [None], [None]
     for m in range(1, a.precision):
-        x, y = _split(_combine(a.cfg, _coefficient(a, m), _products(X, Y, m)), i)
+        x, y = _split(kernel.combine(A[m], _products(X, Y, m)), i)
         X.append(x)
         Y.append(y)
     return X, Y
 
 
-def _next_errors(e1: _Stream, e2: _Stream, cfg: Configuration, i: int) -> tuple:
+def _next_errors(e1: _Stream, e2: _Stream, kernel: _Kernel, i: int) -> tuple:
     """One round of the contraction, on its errors against the lifted
     factors.
 
@@ -448,15 +599,15 @@ def _next_errors(e1: _Stream, e2: _Stream, cfg: Configuration, i: int) -> tuple:
     one coefficient at a time from (1 + m1) e1' = [Q]_J and
     e2' (1 + m2) = [Q]_i.
     """
-    Q = _Stream(lambda d: _split(_combine(cfg, None, _products(e1, e2, d)), i))
+    Q = _Stream(lambda d: _split(kernel.combine(None, _products(e1, e2, d)), i))
     m1 = _Stream(lambda d: _difference(e1[d], Q[d][0]))
     m2 = _Stream(lambda d: _difference(e2[d], Q[d][1]))
-    f1 = _Stream(lambda d: _combine(cfg, Q[d][0], _products(m1, f1, d)))
-    f2 = _Stream(lambda d: _combine(cfg, Q[d][1], _products(f2, m2, d)))
+    f1 = _Stream(lambda d: kernel.combine(Q[d][0], _products(m1, f1, d)))
+    f2 = _Stream(lambda d: kernel.combine(Q[d][1], _products(f2, m2, d)))
     return f1, f2
 
 
-def _contraction_rounds(X: list, Y: list, cfg: Configuration, i: int, prec: int, cap: int) -> int:
+def _contraction_rounds(X: list, Y: list, kernel: _Kernel, i: int, prec: int, cap: int) -> int:
     """The number of rounds the classical contraction takes to reach the
     lifted factors 1 + X, 1 + Y mod t^prec; more than cap raises.
 
@@ -472,8 +623,8 @@ def _contraction_rounds(X: list, Y: list, cfg: Configuration, i: int, prec: int,
     while _valuation(e1, prec) < prec or _valuation(e2, prec) < prec:
         rounds += 1
         if rounds > cap:
-            raise ArithmeticError("Cartan iteration failed to contract (internal bug)")
-        e1, e2 = _next_errors(e1, e2, cfg, i)
+            raise ArithmeticError(f"Cartan iteration failed to contract in {cap} rounds")
+        e1, e2 = _next_errors(e1, e2, kernel, i)
     return rounds
 
 
@@ -483,15 +634,15 @@ def _assemble(a: PatchMatrix, coeffs: list) -> PatchMatrix:
     denominators."""
     cfg, prec = a.cfg, a.precision
     dim = cfg.field.dim
-    den = lcm(1, *(x[0] for x in coeffs if x is not None))
+    den = lcm(1, *(x.den for x in coeffs if x is not None))
     cells = [[{None: [[0] * prec for _ in range(dim)]} for _c in a.rows] for _r in a.rows]
     for r, row in enumerate(cells):
         row[r][None][0][0] = den
     for m, x in enumerate(coeffs):
         if x is None:
             continue
-        f = den // x[0]
-        for d, comp in enumerate(x[1]):
+        f = den // x.den
+        for d, comp in enumerate(x.comps):
             for (r, c, slot), v in comp.items():
                 s = cells[r][c].get(slot)
                 if s is None:
@@ -513,10 +664,17 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
     v(a - 1) >= 1.  The factors come from the t-adic lift (``_lift``); the
     round count is that of the classical contraction, read off its error
     recursion (``_contraction_rounds``).  The count is bounded by the
-    precision; hitting the round cap means a bug and raises rather than
-    truncating silently.
+    precision, the default cap being the precision plus two; a count over
+    the cap raises rather than returning unfinished factors, and a negative
+    cap is refused.
     """
     cfg = a.cfg
+    if max_rounds is None:
+        cap = a.precision + 2
+    elif max_rounds < 0:
+        raise ValueError(f"max_rounds must be nonnegative, got {max_rounds}")
+    else:
+        cap = max_rounds
     if i not in cfg.indices:
         raise ValueError(f"no center with index {i}")
     if any(x.tshift != 0 for row in a.rows for x in row):
@@ -528,8 +686,9 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
     if a.deviation().min_valuation() < 1:
         raise FactorizationError("v(a - 1) >= 1 required")
 
-    X, Y = _lift(a, i)
-    rounds = _contraction_rounds(X, Y, cfg, i, prec, max_rounds or (prec + 2))
+    kernel = _Kernel(cfg, a.n)
+    X, Y = _lift(a, i, kernel)
+    rounds = _contraction_rounds(X, Y, kernel, i, prec, cap)
     b1, b2 = _assemble(a, X), _assemble(a, Y)
     mem = (_entry_memberships(b1, J), _entry_memberships(b2, {i}))
     return FactorizationResult(b1, b2, prec, mem, rounds)

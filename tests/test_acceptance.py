@@ -7,7 +7,6 @@ one-line pass/fail summary (visible with pytest -s or in captured output).
 
 import random
 import time
-from collections import Counter
 
 import pytest
 
@@ -20,6 +19,7 @@ from patchalg.analytic import (
     random_element,
     z_generator,
 )
+from patchalg.intvec import unpack
 from patchalg.kummer import build_scenario, certify_division_algebra, hensel_root, lift_configuration
 from patchalg.oracle import OracleCache, OracleSeries, oracle_of_element
 from patchalg.patching import PatchMatrix, cartan_factor
@@ -185,20 +185,25 @@ def _criterion_5_matrix() -> PatchMatrix:
 def test_criterion_5_cartan_op_count(monkeypatch):
     """Work gate beside criterion 5's wall budget: one fixed 3x3 Cartan
     factorization at N=12 in four rounds, with no series product and no
-    ``ae_dot`` call, at most 64 ``apply_rule`` calls of the lift's kernel
-    ``patching._combine`` (58), one per product of whole-matrix
-    coefficients, and at most 12,000 coordinate products: the numerator
-    products its convolution ``_conv`` makes (8,816) plus its reductions of
-    cross cells by a partial-fraction coefficient (1,929), 10,745 in all.
+    ``ae_dot`` call, at most 64 calls of the kernel
+    ``patching._column_products`` (58), one per product of whole-matrix
+    coefficients, and at most 4,500 integer multiplies: the packed rows
+    times a right numerator that the kernel makes (934), plus the
+    numerators of a left factor times the weights of z^s1 z^s2 that build
+    those rows (3,092: per product of a packed column by packed weights,
+    the column's nonzero places times the weights'), 4,026 in all.
     History of the gate: 77,684 series products (``add_product`` calls)
     with Horner folds, 58,164 with the contraction by term-by-term Neumann
     sums, 8,816 with the t-adic lift on precision-1 series, none since the
-    lift holds its coefficients as integers, and 1,500 ``apply_rule``
-    calls while each matrix entry had a z-polynomial of its own."""
+    lift holds its coefficients as integers, 1,500 ``apply_rule`` calls
+    while each matrix entry had a z-polynomial of its own, and 10,745
+    coordinate products (8,816 numerator products and 1,929 reductions of
+    cross cells by their partial-fraction coefficients) in 58 calls while
+    the lift formed cross cells."""
     A = _criterion_5_matrix()
-    counts = {"add_product": 0, "ae_dot": 0, "apply_rule": 0, "products": 0, "reductions": 0}
+    counts = {"add_product": 0, "ae_dot": 0, "kernel": 0, "products": 0, "build": 0}
     add_product, ae_dot = _SeriesAcc.add_product, analytic.ae_dot
-    apply_rule, conv, coord_mul = patching.apply_rule, patching._conv, patching.coord_mul
+    kernel, weights = patching._column_products, patching._Kernel.weights
 
     def counted_add_product(*args, **kwargs):
         counts["add_product"] += 1
@@ -208,35 +213,49 @@ def test_criterion_5_cartan_op_count(monkeypatch):
         counts["ae_dot"] += 1
         return ae_dot(pairs)
 
-    def counted_apply_rule(*args):
-        counts["apply_rule"] += 1
-        return apply_rule(*args)
+    def counted_kernel(out, xs, ys, fac, scale):
+        counts["kernel"] += 1
+        counts["products"] += sum(1 for k, _c, s2 in ys[0] if xs[0].get((k, s2)))
+        return kernel(out, xs, ys, fac, scale)
 
-    def counted_conv(out, xs, ys, arg, scale):
-        rows = Counter(k for k, _c, _s in ys[0])
-        counts["products"] += sum(rows[k] for _r, k, _s in xs[0])
-        return conv(out, xs, ys, arg, scale)
+    def places(v: int, w: int) -> int:
+        """The nonzero places of v packed at width w."""
+        return sum(1 for u in unpack(v, w, abs(v).bit_length() // w + 2) if u)
 
-    def counted_coord_mul(x, y):
-        counts["reductions"] += 1
-        return coord_mul(x, y)
+    class Counted(int):
+        """Packed weights at width w that count, per product they are the
+        right factor of, its numerator x weight products: the nonzero
+        places of the packed column times their own."""
+
+        def __new__(cls, v: int, w: int):
+            packed = super().__new__(cls, v)
+            packed.w, packed.places = w, places(v, w)
+            return packed
+
+        def __rmul__(self, other):
+            counts["build"] += places(other, self.w) * self.places
+            return int(other) * int(self)
+
+    def counted_weights(self, s1, s2, w, f):
+        return tuple(tuple((o, Counted(packed, w)) for o, packed in pairs)
+                     for pairs in weights(self, s1, s2, w, f))
 
     monkeypatch.setattr(_SeriesAcc, "add_product", counted_add_product)
     monkeypatch.setattr(analytic, "ae_dot", counted_ae_dot)
-    monkeypatch.setattr(patching, "apply_rule", counted_apply_rule)
-    monkeypatch.setattr(patching, "_conv", counted_conv)
-    monkeypatch.setattr(patching, "coord_mul", counted_coord_mul)
+    monkeypatch.setattr(patching, "_column_products", counted_kernel)
+    monkeypatch.setattr(patching._Kernel, "weights", counted_weights)
     res = cartan_factor(A, 2)
     monkeypatch.undo()
     assert (res.b1 * res.b2).equals(A) and all(res.side_memberships)
-    total = counts["products"] + counts["reductions"]
+    total = counts["products"] + counts["build"]
     _report(
         "criterion 5 work gate: fixed 3x3 Cartan factorization at N=12",
         res.rounds == 4 and counts["add_product"] == counts["ae_dot"] == 0
-        and counts["reductions"] > 0 and total <= 12_000 and counts["apply_rule"] <= 64,
-        f"{res.rounds} rounds, {total} coordinate products of 12000 "
-        f"({counts['products']} products, {counts['reductions']} reductions), "
-        f"{counts['apply_rule']} apply_rule calls of 64, "
+        and counts["products"] > 0 and counts["build"] > 0 and total <= 4_500
+        and counts["kernel"] <= 64,
+        f"{res.rounds} rounds, {total} integer multiplies of 4500 "
+        f"({counts['products']} packed rows x numerators, {counts['build']} "
+        f"numerators x weights), {counts['kernel']} kernel calls of 64, "
         f"{counts['add_product']} add_product and {counts['ae_dot']} ae_dot calls",
     )
 
@@ -248,6 +267,20 @@ def test_criterion_5_round_cap():
     with pytest.raises(ArithmeticError, match="failed to contract"):
         cartan_factor(a, 2, max_rounds=1)
     assert cartan_factor(a, 2, max_rounds=4).rounds == 4
+
+
+def test_round_cap_zero():
+    """A cap of zero is a cap, not the default: the identity needs no round
+    and holds under it, the criterion 5 matrix needs four and raises."""
+    a = _criterion_5_matrix()
+    assert cartan_factor(PatchMatrix.identity(a.cfg, 3, 0), 2, max_rounds=0).rounds == 0
+    with pytest.raises(ArithmeticError, match="failed to contract in 0 rounds"):
+        cartan_factor(a, 2, max_rounds=0)
+
+
+def test_round_cap_negative_refused():
+    with pytest.raises(ValueError, match="max_rounds"):
+        cartan_factor(_criterion_5_matrix(), 2, max_rounds=-1)
 
 
 def test_criterion_6_hensel():

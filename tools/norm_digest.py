@@ -11,11 +11,13 @@ and oracle expansions, cartan factors, and inverses of cartan inputs.
     python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
     python3 tools/norm_digest.py --kind cartan --seeds 1 2 3
     python3 tools/norm_digest.py --kind inverse --seeds 1 2 3
+    python3 tools/norm_digest.py --kind cartan-qi --seeds 1 2 3
 
 Run from the root of a checkout; the program is imported from ``src/`` and
-the requests are the ones ``bench/run.py`` draws for a seed.  For every
-request of the chosen kind it prints the seed, the request's place in the
-stream and the SHA-256 of the result's exact data:
+the requests are the ones ``bench/run.py`` draws for a seed, apart from
+``cartan-qi``, which draws its own.  For every request of the chosen kind
+it prints the seed, the request's place in the stream and the SHA-256 of
+the result's exact data:
 
 * ``norm`` (the default), kummer-qi norm-law requests: the norm's u2
   power, t-shift and the series data of its numerator;
@@ -48,7 +50,13 @@ stream and the SHA-256 of the result's exact data:
   notes (cleared shift, ``det_order``, ``cut_det_order``) and its
   residual precision;
 * ``inverse``, cartan factor requests (a, i): every entry of the exact
-  inverse ``a.invert_near_identity()``.
+  inverse ``a.invert_near_identity()``;
+* ``cartan-qi``, Cartan factorizations over Q(i), which no workload makes:
+  per seed, four 2x2 and four 3x3 matrices 1 + t * (random forms with
+  imaginary parts, z-degree up to 2 and t-degree below 3) at N = 12 over
+  the centers 0, 1, i, 1/2 + i and -3/2 + i/3, each split at a random
+  index; the entries of b1 and b2 of ``cartan_factor`` and the round
+  count.
 
 Two checkouts compute identical results when their outputs are identical,
 so a change to ``KummerElement.norm``, ``KummerElement.__mul__``, ``hensel_root``,
@@ -71,6 +79,7 @@ import argparse
 import hashlib
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,9 +88,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from run import PASS_REQUESTS  # noqa: E402  (the pool of one run)
 from patchalg import series  # noqa: E402
-from patchalg.analytic import prime_point_valuation  # noqa: E402
+from patchalg.analytic import (  # noqa: E402
+    AnalyticElement,
+    Configuration,
+    prime_point_valuation,
+    random_element,
+)
 from patchalg.oracle import oracle_of_element  # noqa: E402
-from patchalg.patching import cartan_factor, gl_factor  # noqa: E402
+from patchalg.patching import PatchMatrix, cartan_factor, gl_factor  # noqa: E402
+from patchalg.scalars import Scalar, cyclotomic_field  # noqa: E402
 
 
 def element_data(e) -> list:
@@ -191,6 +206,38 @@ def inverse_data(ctx, kind, inp) -> list:
     return matrix_data(inp[0].invert_near_identity())
 
 
+QI_CENTERS = [(0, 0), (1, 0), (0, 1), (Fraction(1, 2), 1), (Fraction(-3, 2), Fraction(1, 3))]
+
+
+def cartan_qi_data(seed: int):
+    """The place and result data of every cartan-qi request of a seed."""
+    qi = cyclotomic_field(4)
+    cfg = Configuration(qi, [Scalar.of(qi, a, b) for a, b in QI_CENTERS], 12)
+    one, zero, imag = AnalyticElement.one(cfg, 0), AnalyticElement.zero(cfg, 0), Scalar.of(qi, 0, 1)
+    rng = random.Random(f"cartan-qi/{seed}")
+
+    def form():
+        return random_element(cfg, rng, chart=0, max_zdeg=2, tdeg=3)
+
+    for n, size in enumerate((2, 3) * 4):
+        a = PatchMatrix([[(one if r == c else zero) + (form() + form().scale(imag)).shift_t(1)
+                          for c in range(size)] for r in range(size)], 0)
+        res = cartan_factor(a, rng.randrange(len(QI_CENTERS)))
+        yield n, [matrix_data(res.b1), matrix_data(res.b2), res.rounds]
+
+
+def bench_data(kind: str, seed: int):
+    """The place in the stream and result data of every request of the
+    kind that ``bench/run.py`` draws for a seed."""
+    name, names, data = KINDS[kind]
+    wl = workloads.WORKLOADS[name]
+    ctx = wl.setup()
+    for n, (k, inp) in enumerate(wl.stream(ctx, random.Random(f"{wl.name}/{seed}"),
+                                           PASS_REQUESTS[name])):
+        if k.name in names:
+            yield n, data(ctx, k, inp)
+
+
 # --kind -> (workload, request kinds digested, result data of one request)
 KINDS = {
     "norm": ("kummer-qi", {"norm-law"}, norm_data),
@@ -208,17 +255,13 @@ KINDS = {
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--kind", choices=sorted(KINDS), default="norm")
+    ap.add_argument("--kind", choices=sorted([*KINDS, "cartan-qi"]), default="norm")
     args = ap.parse_args(argv)
-    name, names, data = KINDS[args.kind]
-    wl = workloads.WORKLOADS[name]
     for seed in args.seeds:
-        ctx = wl.setup()
-        for n, (kind, inp) in enumerate(wl.stream(ctx, random.Random(f"{wl.name}/{seed}"),
-                                                  PASS_REQUESTS[name])):
-            if kind.name in names:
-                digest = hashlib.sha256(repr(data(ctx, kind, inp)).encode()).hexdigest()
-                print(seed, n, digest)
+        results = (cartan_qi_data(seed) if args.kind == "cartan-qi"
+                   else bench_data(args.kind, seed))
+        for n, data in results:
+            print(seed, n, hashlib.sha256(repr(data).encode()).hexdigest())
     return 0
 
 
