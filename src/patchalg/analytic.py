@@ -33,14 +33,16 @@ chart change is one integer multiply-add per source coefficient, and each
 target is unpacked once.  The slot width comes from a bound on the outputs
 taken before the arithmetic, so every result is exact.
 
-Everything here is immutable and pure; configurations carry memo tables for
-the rewrite coefficients and the transfer tables, but those are write-once
-caches (a transfer table only grows, by appending columns or widening its
-slots).
+Everything here is immutable and pure.  Every product rests on one table,
+``Configuration.rewrite_ints``, the canonical form of z^s1 z^s2 for any two
+slots in integers.  It, the transfer tables and the Cartan kernel's tables
+live in one write-once memo per configuration (``_per_configuration``; a
+transfer table only grows, by appending columns or widening its slots).
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -97,6 +99,22 @@ class PrimePointError(ValueError):
     """Prime-point construction rejected (non-unit substitution denominator)."""
 
 
+def _per_configuration(build):
+    """build(cfg, *args), computed once per configuration and arguments and
+    kept in the configuration's one memo, under build and the arguments,
+    for as long as the configuration lives."""
+
+    @wraps(build)
+    def kept(cfg, *args):
+        key = (build, *args)
+        hit = cfg._memo.get(key)
+        if hit is None:
+            hit = cfg._memo[key] = build(cfg, *args)
+        return hit
+
+    return kept
+
+
 class Configuration:
     """The ambient data: coefficient field, centers, working precision."""
 
@@ -115,8 +133,7 @@ class Configuration:
                 if self.centers[a] == self.centers[b]:
                     raise ValueError("centers must be distinct")
         self.precision = precision
-        self._rwi_cache: dict = {}
-        self._transfer_cache: dict = {}
+        self._memo: dict = {}
 
     @property
     def indices(self) -> range:
@@ -162,45 +179,37 @@ class Configuration:
     def scalar(self, v) -> Scalar:
         return v if isinstance(v, Scalar) else Scalar.of(self.field, v)
 
-    # -- the cross-term rewrite ----------------------------------------------
+    # -- the table of monomial products ----------------------------------------
 
-    def rewrite(self, i: int, a: int, j: int, b: int) -> dict:
-        """Reduction of z_i^a * z_j^b (i != j) to pure powers.
+    @_per_configuration
+    def rewrite_ints(self, s1, s2) -> tuple:
+        """The canonical form of z^s1 z^s2 for slots s1, s2, each None (f0)
+        or (k, n) (z_k^n), in integers: (den, ((slot, nums), ...)), each
+        coefficient nums / den over the least common denominator.
 
-        Returns a map (index, exponent) -> Scalar.  In s = X/Y, z_k is
-        1/(s - c_k), so this is the partial-fraction decomposition of
-        1/((s - c_i)^a (s - c_j)^b): with delta = c_i - c_j, the coefficient
-        of z_i^r (1 <= r <= a) is (-1)^(a-r) C(a+b-r-1, a-r) delta^-(a+b-r),
-        and that of z_j^r is the same with a, b swapped and -delta for delta.
+        A product with f0 keeps the other slot, and z_k^a z_k^b is
+        z_k^(a+b).  A cross product z_i^a z_j^b (i != j) is a partial-fraction
+        decomposition: in s = X/Y, z_k is 1/(s - c_k), and with
+        u = 1/(c_i - c_j) the coefficient of z_i^r (1 <= r <= a) in
+        1/((s - c_i)^a (s - c_j)^b) is (-1)^(a-r) C(a+b-r-1, a-r) u^(a+b-r),
+        that of z_j^r the same with a, b swapped and -u for u.
         """
-        if i == j:
-            raise ValueError("rewrite is only for distinct indices")
-        one = Scalar.one(self.field)
-        if a == 0:
-            return {(j, b): one} if b else {}
-        if b == 0:
-            return {(i, a): one}
-        out: dict = {}
-        delta = self.centers[i] - self.centers[j]
-        for k, x, y, d in ((i, a, b, delta), (j, b, a, -delta)):
-            inv = d.inverse()
-            p = inv ** y  # delta^-(x+y-r) at r = x
-            for r in range(x, 0, -1):
-                c = comb(x + y - r - 1, x - r)
-                out[(k, r)] = Scalar.of(self.field, c if (x - r) % 2 == 0 else -c) * p
-                p = p * inv
-        return out
-
-    def rewrite_ints(self, i: int, a: int, j: int, b: int) -> tuple:
-        """rewrite() with coefficients pre-converted to (nums, den) integers."""
-        key = (i, a, j, b)
-        hit = self._rwi_cache.get(key)
-        if hit is None:
-            hit = tuple(
-                (kn, *scalar_ints(c.coords)) for kn, c in self.rewrite(i, a, j, b).items()
-            )
-            self._rwi_cache[key] = hit
-        return hit
+        one = (1,) + (0,) * (self.field.dim - 1)
+        if s1 is None or s2 is None or s1[0] == s2[0]:
+            slot = s2 if s1 is None else s1 if s2 is None else (s1[0], s1[1] + s2[1])
+            return 1, ((slot, one),)
+        (i, a), (j, b) = s1, s2
+        u, d = scalar_ints((self.centers[i] - self.centers[j]).inverse().coords)
+        den, out = d ** (a + b - 1), []  # u^e is over d^e, and e < a + b
+        for k, x, y, v in ((i, a, b, u), (j, b, a, tuple(-c for c in u))):
+            p = one
+            for r in range(x + y - 1, 0, -1):  # p = v^e, e = x + y - r
+                p = coord_mul(p, v)
+                if r <= x:
+                    c = (-1) ** (x - r) * comb(x + y - r - 1, x - r) * d ** (r - 1)
+                    out.append(((k, r), tuple(c * q for q in p)))
+        g = content(den, (nums for _slot, nums in out))
+        return den // g, tuple((slot, tuple(q // g for q in nums)) for slot, nums in out)
 
     # -- chart-change transfer tables ------------------------------------------
 
@@ -208,13 +217,14 @@ class Configuration:
         """The packed weights of the chart change j -> j2 on the source slot
         z_k^n (the f0 slot is k None, n 0), with at least ``length``
         columns.  Weights do not depend on the precision, so one table per
-        (j, j2, k, n) is cached and extended."""
-        key = (j, j2, k, n)
-        table = self._transfer_cache.get(key)
-        if table is None:
-            table = self._transfer_cache[key] = _TransferTable(self, j, j2, k, n)
+        (j, j2, k, n) is kept and extended."""
+        table = self._transfer_table(j, j2, k, n)
         table.extend(length)
         return table
+
+    @_per_configuration
+    def _transfer_table(self, j: int, j2: int, k: Optional[int], n: int) -> "_TransferTable":
+        return _TransferTable(self, j, j2, k, n)
 
 
 def default_configuration(precision: int = 16) -> Configuration:
@@ -233,7 +243,8 @@ class _TransferTable:
     * moves the f0 slot to (j2, 1) and each (j2, p) to (j2, p + 1);
     * takes the z_k-part through one suffix sweep with
       z_k^p z_j2 = beta^p z_j2 - sum_{r=1..p} beta^(p-r+1) z_k^r,
-      beta = 1 / (c_j2 - c_k).
+      beta = 1 / (c_j2 - c_k), the weight of z_j2 in z_j2 z_k
+      (``Configuration.rewrite_ints``).
 
     Only f0, (k, 1..n) and (j2, 1..n+m) occur, so a table of length P costs
     O(P (P + n)) integer operations.  Only the column being stepped is kept
@@ -256,8 +267,8 @@ class _TransferTable:
         if k is None or k == j2:
             self.bn, self.bd_pow = None, [1]
         else:
-            beta = (cfg.centers[j2] - cfg.centers[k]).inverse()
-            self.bn, bd = scalar_ints(beta.coords)
+            bd, weights = cfg.rewrite_ints((j2, 1), (k, 1))
+            self.bn = dict(weights)[(j2, 1)]
             self.bd_pow = [bd ** e for e in range(n + 1)]
         self.cden = 1
         self.col = {None if k is None else (k, n): [1] + [0] * (cfg.field.dim - 1)}
@@ -780,8 +791,9 @@ def ae_dot(pairs, weights=None) -> AnalyticElement:
                     a = get(grids.setdefault((k2, k1), {}), (n2, n1))
                 a.add_product(s1, s2, t1, t2, off if d else k)
     for (i, j), grid in grids.items():
-        w = {kn: (nums, den) for kn, nums, den in cfg.rewrite_ints(i, 1, j, 1)}
-        alpha, beta = w[(i, 1)], w[(j, 1)]
+        den, weights = cfg.rewrite_ints((i, 1), (j, 1))
+        w = dict(weights)
+        alpha, beta = (w[(i, 1)], den), (w[(j, 1)], den)
 
         def cell(a: int, b: int) -> _SeriesAcc:
             return get(acc, (j, b)) if a == 0 else get(acc, (i, a)) if b == 0 else get(grid, (a, b))
@@ -1128,13 +1140,14 @@ class PrimePoint:
     image of each power z_k^n is a lazy stream of eps-coefficients, kept on
     the point and extended only as far as a valuation asks, so a valuation
     of value v computes no image coefficient above eps-degree v and a
-    repeated one computes none (``prime_point_valuation``).  Beside it a
-    second stream keeps each coefficient's ``intvec.terms``, listed the
-    first time a valuation reads it, so a repeated valuation lists only its
-    own slots.  Every image coefficient has lambda's precision.
+    repeated one computes none (``prime_point_valuation``).  Each
+    coefficient is kept with its ``intvec.terms``, listed once when it is
+    computed, so no product that takes it, in the image of a higher power
+    or in a valuation, lists it again.  Every image coefficient has
+    lambda's precision.
     """
 
-    __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst", "_listed")
+    __slots__ = ("cfg", "chart", "lam", "label", "ring_support", "_subst")
 
     def __init__(self, cfg: Configuration, chart: int, lam: TruncSeries, label: str = "custom",
                  ring_support: Optional[Iterable[int]] = None):
@@ -1157,33 +1170,32 @@ class PrimePoint:
                 )
         self.ring_support = support
         self._subst: dict = {}
-        self._listed: dict = {}
 
     def __repr__(self) -> str:
         return f"PrimePoint({self.label}: z{self.chart} - lambda, support={sorted(self.ring_support)})"
 
     def _image(self, k: int, n: int) -> _Stream:
-        """The eps-coefficients of the image of z_k^n, keyed (k, n)."""
+        """The eps-coefficients of the image of z_k^n, keyed (k, n), each
+        as the pair (series, its ``intvec.terms``)."""
         out = self._subst.get((k, n))
         if out is None:
-            out = self._subst[(k, n)] = self._power(k, n) if n > 1 else self._generator(k)
+            coeff = self._power(k, n) if n > 1 else self._generator(k)
+
+            def listed(m: int) -> tuple:
+                c = coeff(m)
+                return c, terms(c._c)
+
+            out = self._subst[(k, n)] = _Stream(listed)
         return out
 
-    def _image_terms(self, k: int, n: int) -> _Stream:
-        """The ``intvec.terms`` of each eps-coefficient of ``_image(k, n)``."""
-        out = self._listed.get((k, n))
-        if out is None:
-            img = self._image(k, n)
-            out = self._listed[(k, n)] = _Stream(lambda d: terms(img[d]._c))
-        return out
-
-    def _generator(self, k: int) -> _Stream:
+    def _generator(self, k: int):
+        """The function m -> eps^m coefficient of the image of z_k."""
         prec = self.lam.prec
         one = self.cfg.one_series(prec)
         if k == self.chart:
             head = (self.lam, one)
             zero = TruncSeries.zero(self.cfg.field, prec)
-            return _Stream(lambda m: head[m] if m < 2 else zero)
+            return lambda m: head[m] if m < 2 else zero
         # (lambda + eps)/(D + d eps) with D = 1 + d lambda: eps^0 has
         # lambda D^-1, eps^1 has D^-2, and each later degree is the one
         # before times -d D^-1
@@ -1196,25 +1208,26 @@ class PrimePoint:
                 return self.lam * dinv
             if m == 1:
                 return dinv * dinv
-            return out[m - 1] * ratio
+            return self._image(k, 1)[m - 1][0] * ratio
 
-        out = _Stream(coeff)
-        return out
+        return coeff
 
-    def _power(self, k: int, n: int) -> _Stream:
-        """Degree m of z_k^n is sum_{p <= m} z_k^(n-1)[p] z_k[m-p]."""
+    def _power(self, k: int, n: int):
+        """The function m -> eps^m coefficient of the image of z_k^n,
+        sum_{p <= m} z_k^(n-1)[p] z_k[m-p], each product on the factors'
+        kept term lists."""
         low, base = self._image(k, n - 1), self._image(k, 1)
         field, prec = self.cfg.field, self.lam.prec
 
         def coeff(m: int) -> TruncSeries:
             acc = _SeriesAcc(field, prec)
             for p in range(m + 1):
-                a, b = low[p], base[m - p]
+                (a, at), (b, bt) = low[p], base[m - p]
                 if not (a.is_zero() or b.is_zero()):
-                    acc.add_product(a, b)
+                    acc.add_product(a, b, at, bt)
             return acc.result()
 
-        return _Stream(coeff)
+        return coeff
 
 
 def weierstrass_prepare_linear(p: AnalyticElement, label: str = "custom",
@@ -1299,18 +1312,17 @@ def prime_point_valuation(x, pt: PrimePoint, bound: Optional[int] = None) -> int
             f"substitutes {sorted(pt.ring_support)}"
         )
     top = bound if proven else body.precision
-    images = [(pt._image(k, n), pt._image_terms(k, n), s, terms(s._c))
-              for k, n, s in body.terms()] if top else []
+    images = [(pt._image(k, n), s, terms(s._c)) for k, n, s in body.terms()] if top else []
     prec = min(body.f0.prec, pt.lam.prec) if images else body.f0.prec
     field = body.cfg.field
     for d in range(top):
         acc = _SeriesAcc(field, prec)
         if d == 0:
             acc.add_ints(body.f0, (1,) + (0,) * (field.dim - 1), 1)
-        for img, listed, s, ts in images:
-            c = img[d]
+        for img, s, ts in images:
+            c, ct = img[d]
             if not c.is_zero():
-                acc.add_product(c, s, listed[d], ts)
+                acc.add_product(c, s, ct, ts)
         if not acc.is_zero():
             return d
     if proven:

@@ -20,15 +20,17 @@ one t-coefficient at a time and only as deep as each valuation needs.
 
 The lift and the round count hold the t^m coefficient of a whole matrix as
 one integer z-polynomial, one denominator and a numerator per entry, slot
-and coordinate.  Their kernel, ``_Kernel.combine``, holds each left factor
-L, per right slot s2, as the rows of sum_s1 L[r, k, s1] z^s1 z^s2 already
-reduced to canonical slots by the configuration's partial-fraction
-weights, Kronecker-packed with all rows r of one k in one integer at a
-slot width taken from a bound, and kept on L for the whole factorization.
-A product with a right factor R is then one integer multiply-add per
-numerator of R, no cross cell is ever formed, and each output column is
-unpacked once per t-coefficient.  Over Q(i) the same kernel runs on
-coordinates.  The factors' series are built once, at the end.
+and coordinate.  Their kernel, ``_combine``, holds each left factor L, per
+right slot s2, as the rows of sum_s1 L[r, k, s1] z^s1 z^s2 already reduced
+to canonical slots by the configuration's table of monomial products
+(``Configuration.rewrite_ints``), Kronecker-packed with all rows r of one k
+in one integer at a slot width taken from a bound, and kept on L for the
+whole factorization.  A product with a right factor R is then one integer
+multiply-add per numerator of R, no cross cell is ever formed, and each
+output column is unpacked once per t-coefficient.  Over Q(i) the same
+kernel runs on coordinates.  The factors' series are built once, at the
+end.  The targets and packed weights of each slot product and the place
+keys of each packed layout live in the configuration's memo.
 
 `gl_factor` reduces the general (localized, invertible) case to the Cartan
 step: clear t-denominators, normalize the adjugate by the unit part of the
@@ -45,6 +47,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -53,6 +56,7 @@ from .analytic import (
     Configuration,
     LocalizedElement,
     UnitNotRecognized,
+    _per_configuration,
     _Stream,
     localized_dot,
     membership,
@@ -262,8 +266,8 @@ def _entry_memberships(mat: PatchMatrix, J: Iterable[int]) -> bool:
 
 
 class _Coef:
-    """The coefficient comps / den, with the caches that the methods of
-    ``_Kernel`` of the same names fill: ``left``, its summary as a left
+    """The coefficient comps / den, with the caches that the kernel's
+    functions of the same names fill: ``left``, its summary as a left
     factor, ``shapes``, the shape of its rows per right slot, ``packed``,
     its packed rows per slot width and stride, and ``right``, its summary
     as a right factor.  They live as long as the coefficient: one
@@ -361,197 +365,174 @@ def _column_products(out, xs, ys, fac, scale: int) -> None:
             out[c] += packed * (v * scale * fac[s2])
 
 
-class _Kernel:
-    """Sums of products of t-coefficients of n x n matrices over cfg
-    (``combine``), with the weights of each slot product and the keys of
-    each packed layout kept for one factorization.
+# The kernel: sums of products of t-coefficients of n x n matrices over a
+# configuration (``_combine``).  A packed column holds one integer per place
+# of all rows r: row r from place r * stride on, each place w bits wide, the
+# places of a row ordered f0 first, then z_k^1 for every index k, then z_k^2,
+# and so on.
 
-    A packed column holds one integer per place of all rows r: row r from
-    place r * stride on, each place w bits wide, the places of a row
-    ordered f0 first, then z_k^1 for every index k, then z_k^2, and so on.
+
+@_per_configuration
+def _targets(cfg: Configuration, s1, s2) -> tuple:
+    """z^s1 z^s2 (``Configuration.rewrite_ints``) on packed places, as
+    (den, last place, largest weight numerator, ((place, nums), ...)), each
+    weight nums / den."""
+    den, weights = cfg.rewrite_ints(s1, s2)
+    nc = len(cfg.centers)
+    places = [(0 if kn is None else 1 + (kn[1] - 1) * nc + kn[0], nums) for kn, nums in weights]
+    return (den, max(p for p, _nums in places),
+            max(abs(v) for _p, nums in places for v in nums), places)
+
+
+@_per_configuration
+def _weights(cfg: Configuration, s1, s2, w: int, f: int) -> tuple:
+    """The targets of z^s1 z^s2 times f, packed at width w: per coordinate
+    c of a left numerator u i^c, the pairs (coordinate o of the product,
+    packed weights)."""
+    dim = cfg.field.dim
+    _den, last, _wmax, places = _targets(cfg, s1, s2)
+    out = []
+    for c in range(dim):
+        unit = tuple(int(o == c) for o in range(dim))
+        rows = [[0] * (last + 1) for _ in range(dim)]
+        for p, nums in places:
+            for row, v in zip(rows, coord_mul(unit, nums)):
+                row[p] = v * f
+        out.append(tuple((o, pack(row, w)) for o, row in enumerate(rows) if any(row)))
+    return tuple(out)
+
+
+@_per_configuration
+def _keys(cfg: Configuration, n: int, stride: int) -> list:
+    """Per column c, the key (r, c, slot) of every place of a packed column
+    of n rows at the stride."""
+    nc = len(cfg.centers)
+    slots = [None, *(((p - 1) % nc, (p - 1) // nc + 1) for p in range(1, stride))]
+    return [[(r, c, slot) for r in range(n) for slot in slots] for c in range(n)]
+
+
+def _left(x: _Coef) -> dict:
+    """x's summary as a left factor, kept on x: its largest numerator per
+    slot s1, over all entries and coordinates."""
+    if x.left is None:
+        x.left = {}
+        for comp in x.comps:
+            for (_r, _k, s1), u in comp.items():
+                x.left[s1] = max(x.left.get(s1, 0), abs(u))
+    return x.left
+
+
+def _right(y: _Coef) -> tuple:
+    """(slots, mag, terms) of y as a right factor, kept on y: its distinct
+    slots, its largest numerator and the most numerators, over all
+    coordinates, in one column."""
+    if y.right is None:
+        cols = Counter(c for comp in y.comps for _k, c, _s in comp)
+        y.right = (tuple(dict.fromkeys(s for comp in y.comps for _k, _c, s in comp)),
+                   mag([c.values() for c in y.comps if c]), max(cols.values()))
+    return y.right
+
+
+def _shape(cfg: Configuration, x: _Coef, s2) -> tuple:
+    """(wden, length, mag) of x's rows against the right slot s2, kept on x:
+    the rows sum_s1 x[r, k, s1] z^s1 z^s2 have numerators over x.den * wden,
+    ``length`` places and no numerator above mag, a sum over s1 of x's
+    largest numerator there times the largest weight (twice that over Q(i),
+    where a coordinate of a product is a sum of two)."""
+    hit = x.shapes.get(s2)
+    if hit is None:
+        targets = [(_targets(cfg, s1, s2), xmag) for s1, xmag in _left(x).items()]
+        wden = lcm(*(t[0] for t, _xmag in targets))
+        hit = x.shapes[s2] = (
+            wden, 1 + max(t[1] for t, _xmag in targets),
+            len(x.comps) * sum(xmag * t[2] * (wden // t[0]) for t, xmag in targets))
+    return hit
+
+
+def _packed(cfg: Configuration, x: _Coef, slots, w: int, stride: int) -> tuple:
+    """x's rows against the right slots in packed columns, kept on x: per
+    coordinate, a map from (k, s2) to the rows of every r.  Each is a sum
+    over s1 of one product: the column of x[r, k, s1] over r, packed at the
+    stride, times the packed weights of z^s1 z^s2 (``_weights``)."""
+    hit = x.packed.get((w, stride))
+    if hit is None:
+        cols = tuple({} for _ in x.comps)
+        shift = w * stride
+        for col, comp in zip(cols, x.comps):
+            for (r, k, s1), u in comp.items():
+                col[k, s1] = col.get((k, s1), 0) + (u << shift * r)
+        hit = x.packed[w, stride] = (cols, tuple({} for _ in x.comps), set())
+    cols, comps, done = hit
+    for s2 in slots:
+        if s2 in done:
+            continue
+        done.add(s2)
+        wden = _shape(cfg, x, s2)[0]
+        weights = {s1: _weights(cfg, s1, s2, w, wden // _targets(cfg, s1, s2)[0])
+                   for s1 in _left(x)}
+        rows = [{} for _ in comps]
+        for c, col in enumerate(cols):
+            for (k, s1), column in col.items():
+                for o, packed in weights[s1][c]:
+                    rows[o][k] = rows[o].get(k, 0) + column * packed
+        for comp, row in zip(comps, rows):
+            for k, packed in row.items():
+                comp[k, s2] = packed
+    return comps
+
+
+def _combine(cfg: Configuration, n: int, base, products: list):
+    """base - sum of L * R over the coefficients (L, R) in products, n x n
+    matrices over cfg; base may be None (zero), the factors may not.
+
+    Each left factor L is held, per right slot s2, as its rows already
+    reduced to canonical slots and packed, all rows of one k in one integer
+    (``_packed``), so no cross cell is ever formed.  All products are summed
+    over one common denominator into one packed integer per output column c
+    and coordinate, one integer multiply-add per numerator of R
+    (``_column_products``), and each column is unpacked once.  The slot
+    width comes from a bound on every output slot: per product, the largest
+    scaled row numerator of L (``_shape``) times the largest numerator of R
+    times the most terms of one sum over k and s2 (``_right``), summed over
+    the products.
     """
-
-    __slots__ = ("cfg", "n", "_targets", "_weights", "_keys")
-
-    def __init__(self, cfg: Configuration, n: int):
-        self.cfg, self.n = cfg, n
-        self._targets, self._weights, self._keys = {}, {}, {}
-
-    def targets(self, s1, s2) -> tuple:
-        """z^s1 z^s2 in canonical slots, routed as ``ae_dot`` routes series
-        products, as (den, last place, largest weight numerator, ((place,
-        nums), ...)), each weight nums / den.  A product with f0 keeps the
-        other slot, z_k^a z_k^b is z_k^(a+b), and a cross product is its
-        partial-fraction expansion, ``Configuration.rewrite_ints``."""
-        hit = self._targets.get((s1, s2))
-        if hit is None:
-            cfg = self.cfg
-            nc = len(cfg.centers)
-            if s1 is None or s2 is None or s1[0] == s2[0]:
-                slot = s2 if s1 is None else s1 if s2 is None else (s1[0], s1[1] + s2[1])
-                terms = [(slot, (1,) + (0,) * (cfg.field.dim - 1), 1)]
-            else:
-                terms = cfg.rewrite_ints(*s1, *s2)
-            den = lcm(*(d for _kn, _nums, d in terms))
-            places = [(0 if kn is None else 1 + (kn[1] - 1) * nc + kn[0],
-                       tuple(v * (den // d) for v in nums)) for kn, nums, d in terms]
-            hit = self._targets[s1, s2] = (den, max(p for p, _nums in places),
-                                           max(abs(v) for _p, nums in places for v in nums),
-                                           places)
-        return hit
-
-    def weights(self, s1, s2, w: int, f: int) -> tuple:
-        """The targets of z^s1 z^s2 times f, packed at width w: per
-        coordinate c of a left numerator u i^c, the pairs (coordinate o of
-        the product, packed weights)."""
-        hit = self._weights.get((s1, s2, w, f))
-        if hit is None:
-            dim = self.cfg.field.dim
-            _den, last, _wmax, places = self.targets(s1, s2)
-            hit = []
-            for c in range(dim):
-                unit = tuple(int(o == c) for o in range(dim))
-                rows = [[0] * (last + 1) for _ in range(dim)]
-                for p, nums in places:
-                    for row, v in zip(rows, coord_mul(unit, nums)):
-                        row[p] = v * f
-                hit.append(tuple((o, pack(row, w)) for o, row in enumerate(rows) if any(row)))
-            hit = self._weights[s1, s2, w, f] = tuple(hit)
-        return hit
-
-    def left(self, x: _Coef) -> dict:
-        """x's summary as a left factor, kept on x: its largest numerator
-        per slot s1, over all entries and coordinates."""
-        if x.left is None:
-            x.left = {}
-            for comp in x.comps:
-                for (_r, _k, s1), u in comp.items():
-                    x.left[s1] = max(x.left.get(s1, 0), abs(u))
-        return x.left
-
-    def right(self, y: _Coef) -> tuple:
-        """(slots, mag, terms) of y as a right factor, kept on y: its
-        distinct slots, its largest numerator and the most numerators, over
-        all coordinates, in one column."""
-        if y.right is None:
-            cols = Counter(c for comp in y.comps for _k, c, _s in comp)
-            y.right = (tuple(dict.fromkeys(s for comp in y.comps for _k, _c, s in comp)),
-                       mag([c.values() for c in y.comps if c]), max(cols.values()))
-        return y.right
-
-    def shape(self, x: _Coef, s2) -> tuple:
-        """(wden, length, mag) of x's rows against the right slot s2, kept
-        on x: the rows sum_s1 x[r, k, s1] z^s1 z^s2 have numerators over
-        x.den * wden, ``length`` places and no numerator above mag, a sum
-        over s1 of x's largest numerator there times the largest weight
-        (twice that over Q(i), where a coordinate of a product is a sum of
-        two)."""
-        hit = x.shapes.get(s2)
-        if hit is None:
-            left = self.left(x)
-            targets = [(self.targets(s1, s2), xmag) for s1, xmag in left.items()]
-            wden = lcm(*(t[0] for t, _xmag in targets))
-            hit = x.shapes[s2] = (
-                wden, 1 + max(t[1] for t, _xmag in targets),
-                len(x.comps) * sum(xmag * t[2] * (wden // t[0]) for t, xmag in targets))
-        return hit
-
-    def packed(self, x: _Coef, slots, w: int, stride: int) -> tuple:
-        """x's rows against the right slots in packed columns (see the
-        class), kept on x: per coordinate, a map from (k, s2) to the rows of
-        every r.  Each is a sum over s1 of one product: the column of
-        x[r, k, s1] over r, packed at the stride, times the packed weights
-        of z^s1 z^s2 (``weights``)."""
-        hit = x.packed.get((w, stride))
-        if hit is None:
-            cols = tuple({} for _ in x.comps)
-            shift = w * stride
-            for col, comp in zip(cols, x.comps):
-                for (r, k, s1), u in comp.items():
-                    col[k, s1] = col.get((k, s1), 0) + (u << shift * r)
-            hit = x.packed[w, stride] = (cols, tuple({} for _ in x.comps), set())
-        cols, comps, done = hit
-        for s2 in slots:
-            if s2 in done:
-                continue
-            done.add(s2)
-            wden = self.shape(x, s2)[0]
-            weights = {s1: self.weights(s1, s2, w, wden // self.targets(s1, s2)[0])
-                       for s1 in self.left(x)}
-            rows = [{} for _ in comps]
-            for c, col in enumerate(cols):
-                for (k, s1), column in col.items():
-                    for o, packed in weights[s1][c]:
-                        rows[o][k] = rows[o].get(k, 0) + column * packed
-            for comp, row in zip(comps, rows):
-                for k, packed in row.items():
-                    comp[k, s2] = packed
-        return comps
-
-    def keys(self, stride: int) -> list:
-        """Per column c, the key (r, c, slot) of every place of a packed
-        column at the stride."""
-        hit = self._keys.get(stride)
-        if hit is None:
-            nc = len(self.cfg.centers)
-            slots = [None, *(((p - 1) % nc, (p - 1) // nc + 1) for p in range(1, stride))]
-            hit = self._keys[stride] = [[(r, c, slot) for r in range(self.n) for slot in slots]
-                                        for c in range(self.n)]
-        return hit
-
-    def combine(self, base, products: list):
-        """base - sum of L * R over the coefficients (L, R) in products;
-        base may be None (zero), the factors may not.
-
-        Each left factor L is held, per right slot s2, as its rows already
-        reduced to canonical slots and packed, all rows of one k in one
-        integer (``packed``), so no cross cell is ever formed.  All
-        products are summed over one common denominator into one packed
-        integer per output column c and coordinate, one integer
-        multiply-add per numerator of R (``_column_products``), and each
-        column is unpacked once.  The slot width comes from a bound on every
-        output slot: per product, the largest scaled row numerator of L
-        (``shape``) times the largest numerator of R times the most terms
-        of one sum over k and s2 (``right``), summed over the products.
-        """
-        if not products:
-            return base
-        n = self.n
-        den = 1 if base is None else base.den
-        plan = []
-        for x, y in products:
-            slots, ymag, terms = self.right(y)
-            shapes = [self.shape(x, s2) for s2 in slots]
-            dens = [x.den * y.den * wden for wden, _length, _mag in shapes]
-            den = lcm(den, *dens)
-            plan.append((x, y, slots, shapes, dens, ymag * terms))
-        bound = stride = 0
-        for p, (x, y, slots, shapes, dens, ybound) in enumerate(plan):
-            fac, top = {}, 0
-            for s2, (_wden, length, xmag), d in zip(slots, shapes, dens):
-                f = fac[s2] = den // d
-                top = max(top, f * xmag)
-                stride = max(stride, length)
-            bound += top * ybound
-            plan[p] = x, y, slots, fac
-        w = width(bound)
-        accs = tuple([0] * n for _ in products[0][0].comps)
-        for x, y, slots, fac in plan:
-            apply_rule(_column_products, accs, self.packed(x, slots, w, stride), y.comps, fac, -1)
-        keys, out = self.keys(stride), []
-        for acc in accs:
-            comp = {}
-            for c, v in enumerate(acc):
-                if v:
-                    comp.update((key, u) for key, u in zip(keys[c], unpack(v, w, n * stride)) if u)
-            out.append(comp)
-        if base is not None:
-            f = den // base.den
-            for comp, b in zip(out, base.comps):
-                get = comp.get
-                for key, v in b.items():
-                    comp[key] = get(key, 0) + v * f
-        return _normal(den, out)
+    if not products:
+        return base
+    den = 1 if base is None else base.den
+    plan = []
+    for x, y in products:
+        slots, ymag, terms = _right(y)
+        shapes = [_shape(cfg, x, s2) for s2 in slots]
+        dens = [x.den * y.den * wden for wden, _length, _mag in shapes]
+        den = lcm(den, *dens)
+        plan.append((x, y, slots, shapes, dens, ymag * terms))
+    bound = stride = 0
+    for p, (x, y, slots, shapes, dens, ybound) in enumerate(plan):
+        fac, top = {}, 0
+        for s2, (_wden, length, xmag), d in zip(slots, shapes, dens):
+            f = fac[s2] = den // d
+            top = max(top, f * xmag)
+            stride = max(stride, length)
+        bound += top * ybound
+        plan[p] = x, y, slots, fac
+    w = width(bound)
+    accs = tuple([0] * n for _ in products[0][0].comps)
+    for x, y, slots, fac in plan:
+        apply_rule(_column_products, accs, _packed(cfg, x, slots, w, stride), y.comps, fac, -1)
+    keys, out = _keys(cfg, n, stride), []
+    for acc in accs:
+        comp = {}
+        for c, v in enumerate(acc):
+            if v:
+                comp.update((key, u) for key, u in zip(keys[c], unpack(v, w, n * stride)) if u)
+        out.append(comp)
+    if base is not None:
+        f = den // base.den
+        for comp, b in zip(out, base.comps):
+            get = comp.get
+            for key, v in b.items():
+                comp[key] = get(key, 0) + v * f
+    return _normal(den, out)
 
 
 def _split(x, i: int) -> tuple:
@@ -570,7 +551,7 @@ def _split(x, i: int) -> tuple:
     return part(False), part(True)
 
 
-def _lift(a: PatchMatrix, i: int, kernel: _Kernel) -> tuple:
+def _lift(a: PatchMatrix, i: int, combine) -> tuple:
     """The t-coefficients X_m, Y_m (m < N, X_0 = Y_0 = None) of b1 - 1 and
     b2 - 1 for a = b1 * b2, as integer z-polynomials.
 
@@ -581,13 +562,13 @@ def _lift(a: PatchMatrix, i: int, kernel: _Kernel) -> tuple:
     """
     A, X, Y = _coefficients(a), [None], [None]
     for m in range(1, a.precision):
-        x, y = _split(kernel.combine(A[m], _products(X, Y, m)), i)
+        x, y = _split(combine(A[m], _products(X, Y, m)), i)
         X.append(x)
         Y.append(y)
     return X, Y
 
 
-def _next_errors(e1: _Stream, e2: _Stream, kernel: _Kernel, i: int) -> tuple:
+def _next_errors(e1: _Stream, e2: _Stream, combine, i: int) -> tuple:
     """One round of the contraction, on its errors against the lifted
     factors.
 
@@ -599,15 +580,15 @@ def _next_errors(e1: _Stream, e2: _Stream, kernel: _Kernel, i: int) -> tuple:
     one coefficient at a time from (1 + m1) e1' = [Q]_J and
     e2' (1 + m2) = [Q]_i.
     """
-    Q = _Stream(lambda d: _split(kernel.combine(None, _products(e1, e2, d)), i))
+    Q = _Stream(lambda d: _split(combine(None, _products(e1, e2, d)), i))
     m1 = _Stream(lambda d: _difference(e1[d], Q[d][0]))
     m2 = _Stream(lambda d: _difference(e2[d], Q[d][1]))
-    f1 = _Stream(lambda d: kernel.combine(Q[d][0], _products(m1, f1, d)))
-    f2 = _Stream(lambda d: kernel.combine(Q[d][1], _products(f2, m2, d)))
+    f1 = _Stream(lambda d: combine(Q[d][0], _products(m1, f1, d)))
+    f2 = _Stream(lambda d: combine(Q[d][1], _products(f2, m2, d)))
     return f1, f2
 
 
-def _contraction_rounds(X: list, Y: list, kernel: _Kernel, i: int, prec: int, cap: int) -> int:
+def _contraction_rounds(X: list, Y: list, combine, i: int, prec: int, cap: int) -> int:
     """The number of rounds the classical contraction takes to reach the
     lifted factors 1 + X, 1 + Y mod t^prec; more than cap raises.
 
@@ -624,7 +605,7 @@ def _contraction_rounds(X: list, Y: list, kernel: _Kernel, i: int, prec: int, ca
         rounds += 1
         if rounds > cap:
             raise ArithmeticError(f"Cartan iteration failed to contract in {cap} rounds")
-        e1, e2 = _next_errors(e1, e2, kernel, i)
+        e1, e2 = _next_errors(e1, e2, combine, i)
     return rounds
 
 
@@ -686,9 +667,9 @@ def cartan_factor(a: PatchMatrix, i: int, max_rounds: Optional[int] = None) -> F
     if a.deviation().min_valuation() < 1:
         raise FactorizationError("v(a - 1) >= 1 required")
 
-    kernel = _Kernel(cfg, a.n)
-    X, Y = _lift(a, i, kernel)
-    rounds = _contraction_rounds(X, Y, kernel, i, prec, cap)
+    combine = partial(_combine, cfg, a.n)
+    X, Y = _lift(a, i, combine)
+    rounds = _contraction_rounds(X, Y, combine, i, prec, cap)
     b1, b2 = _assemble(a, X), _assemble(a, Y)
     mem = (_entry_memberships(b1, J), _entry_memberships(b2, {i}))
     return FactorizationResult(b1, b2, prec, mem, rounds)

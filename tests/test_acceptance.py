@@ -88,7 +88,7 @@ def test_criterion_1_oracle_independence(monkeypatch):
     monkeypatch.setattr(analytic, "ae_dot", banned)
     monkeypatch.setattr(_SeriesAcc, "__init__", banned)
     monkeypatch.setattr(AnalyticElement, "rebase", banned)
-    for name in ("rewrite", "rewrite_ints", "transfer"):
+    for name in ("rewrite_ints", "transfer"):
         monkeypatch.setattr(Configuration, name, banned)
     cache = OracleCache(CFG, 9)
     mismatches = 0
@@ -203,15 +203,15 @@ def test_criterion_5_cartan_op_count(monkeypatch):
     A = _criterion_5_matrix()
     counts = {"add_product": 0, "ae_dot": 0, "kernel": 0, "products": 0, "build": 0}
     add_product, ae_dot = _SeriesAcc.add_product, analytic.ae_dot
-    kernel, weights = patching._column_products, patching._Kernel.weights
+    kernel, weights = patching._column_products, patching._weights
 
     def counted_add_product(*args, **kwargs):
         counts["add_product"] += 1
         return add_product(*args, **kwargs)
 
-    def counted_ae_dot(pairs):
+    def counted_ae_dot(pairs, weights=None):
         counts["ae_dot"] += 1
-        return ae_dot(pairs)
+        return ae_dot(pairs, weights)
 
     def counted_kernel(out, xs, ys, fac, scale):
         counts["kernel"] += 1
@@ -236,14 +236,14 @@ def test_criterion_5_cartan_op_count(monkeypatch):
             counts["build"] += places(other, self.w) * self.places
             return int(other) * int(self)
 
-    def counted_weights(self, s1, s2, w, f):
+    def counted_weights(cfg, s1, s2, w, f):
         return tuple(tuple((o, Counted(packed, w)) for o, packed in pairs)
-                     for pairs in weights(self, s1, s2, w, f))
+                     for pairs in weights(cfg, s1, s2, w, f))
 
     monkeypatch.setattr(_SeriesAcc, "add_product", counted_add_product)
     monkeypatch.setattr(analytic, "ae_dot", counted_ae_dot)
     monkeypatch.setattr(patching, "_column_products", counted_kernel)
-    monkeypatch.setattr(patching._Kernel, "weights", counted_weights)
+    monkeypatch.setattr(patching, "_weights", counted_weights)
     res = cartan_factor(A, 2)
     monkeypatch.undo()
     assert (res.b1 * res.b2).equals(A) and all(res.side_memberships)
@@ -257,6 +257,39 @@ def test_criterion_5_cartan_op_count(monkeypatch):
         f"({counts['products']} packed rows x numerators, {counts['build']} "
         f"numerators x weights), {counts['kernel']} kernel calls of 64, "
         f"{counts['add_product']} add_product and {counts['ae_dot']} ae_dot calls",
+    )
+
+
+def test_criterion_5_tables_kept_per_configuration(monkeypatch):
+    """A second factorization of the criterion 5 matrix over the same
+    configuration builds no kernel table: it reads no monomial product
+    (``Configuration.rewrite_ints``, which every slot product's targets
+    are built from) and packs no weights (``patching.pack``), and it adds
+    nothing to the configuration's memo.  Its factors and round count are
+    the first one's."""
+    A = _criterion_5_matrix()
+    first = cartan_factor(A, 2)
+    kept = len(A.cfg._memo)
+    counts = {"rewrite_ints": 0, "pack": 0}
+    rewrite_ints, pack = Configuration.rewrite_ints, patching.pack
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Configuration, "rewrite_ints", counted("rewrite_ints", rewrite_ints))
+    monkeypatch.setattr(patching, "pack", counted("pack", pack))
+    second = cartan_factor(A, 2)
+    monkeypatch.undo()
+    _report(
+        "criterion 5 table gate: a second factorization over one configuration",
+        counts == {"rewrite_ints": 0, "pack": 0} and len(A.cfg._memo) == kept
+        and second.rounds == first.rounds and second.b1.equals(first.b1)
+        and second.b2.equals(first.b2),
+        f"{counts['rewrite_ints']} monomial products read, {counts['pack']} weight "
+        f"tables packed, {len(A.cfg._memo) - kept} memo entries added",
     )
 
 

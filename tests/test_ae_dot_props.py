@@ -19,6 +19,7 @@ from patchalg.analytic import AnalyticElement, Configuration, _SeriesAcc, ae_dot
 from patchalg.oracle import OracleCache, oracle_of_element
 from patchalg.scalars import QQ, Scalar
 from test_rebase_props import QI, configurations
+from test_rewrite import scalar_view
 
 
 @st.composite
@@ -176,7 +177,7 @@ def test_cross_product_work_is_quadratic(monkeypatch):
     want = {}
     for (_i, a), f in F.zc.items():
         for (_j, b), g in G.zc.items():
-            for kn, c in cfg.rewrite(0, a, 1, b).items():
+            for kn, c in scalar_view(cfg, (0, a), (1, b)).items():
                 want[kn] = want[kn] + (f * g).scale(c) if kn in want else (f * g).scale(c)
     assert out.f0.is_zero()
     assert out.zc == {kn: s for kn, s in want.items() if not s.is_zero()}

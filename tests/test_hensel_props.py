@@ -67,8 +67,8 @@ def test_root_makes_few_full_precision_products(monkeypatch):
     precisions = []
     real = analytic.ae_dot
 
-    def counted(pairs):
-        out = real(pairs)
+    def counted(pairs, weights=None):
+        out = real(pairs, weights)
         precisions.append(out.precision)
         return out
 

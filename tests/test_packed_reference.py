@@ -26,6 +26,7 @@ from patchalg.analytic import (
 from patchalg.intvec import content, coord_mul, scalar_ints
 from patchalg.scalars import QQ, Scalar
 from test_rebase_props import QI, configurations
+from test_transfer import transfer_tables
 
 
 # -- the row-form chart change ---------------------------------------------------
@@ -196,5 +197,5 @@ def test_rebase_at_slot_widths(field, bits, w):
     rebase equals the row form."""
     f, _g = width_operands(field, bits)
     moved = f.rebase(2)
-    assert {t.w for t in f.cfg._transfer_cache.values()} == {w}
+    assert {t.w for t in transfer_tables(f.cfg)} == {w}
     assert data(moved) == data(rebase_by_rows(f, 2))

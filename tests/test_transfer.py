@@ -1,14 +1,15 @@
-"""The chart-change transfer tables against the reduction rule, read
-from their packed columns."""
+"""The chart-change transfer tables against the table of monomial
+products, read from their packed columns."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from patchalg.analytic import Configuration
+from patchalg.analytic import Configuration, _TransferTable
 from patchalg.intvec import unpack
 from patchalg.scalars import QQ, Scalar, cyclotomic_field
+from test_rewrite import scalar_view, slot
 
 QI = cyclotomic_field(4)
 CONFIGS = [
@@ -16,6 +17,11 @@ CONFIGS = [
     Configuration(QI, [0, 1, Scalar.of(QI, Fraction(1, 2), -1)], 8),
 ]
 SOURCES = [(None, 0)] + [(k, n) for k in range(3) for n in range(1, 5)]
+
+
+def transfer_tables(cfg) -> list:
+    """The transfer tables kept in the configuration's memo."""
+    return [t for t in cfg._memo.values() if isinstance(t, _TransferTable)]
 
 
 def table_column(cfg, table, m) -> dict:
@@ -41,21 +47,15 @@ def table_column(cfg, table, m) -> dict:
 
 def reduced_column(cfg, j, j2, k, n, m) -> dict:
     """Canonical form of z_k^n (1 + delta z_j2)^m, summed binomially with
-    each z_j2^l z_k^n reduced by Configuration.rewrite."""
+    each z_j2^l z_k^n read from the table of monomial products."""
     delta = cfg.centers[j2] - cfg.centers[j]
-    one = Scalar.one(cfg.field)
     out = {}
     for l in range(m + 1):
-        if k is None:
-            spread = {None if l == 0 else (j2, l): one}
-        elif k == j2:
-            spread = {(j2, n + l): one}
-        else:
-            spread = cfg.rewrite(j2, l, k, n)
+        spread = scalar_view(cfg, slot(j2, l), slot(k, n))
         c = Scalar.of(cfg.field, comb(m, l)) * delta ** l
-        for slot, w in spread.items():
-            out[slot] = out.get(slot, Scalar.zero(cfg.field)) + c * w
-    return {slot: w for slot, w in out.items() if not w.is_zero()}
+        for target, w in spread.items():
+            out[target] = out.get(target, Scalar.zero(cfg.field)) + c * w
+    return {target: w for target, w in out.items() if not w.is_zero()}
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=["Q", "Q(i)"])
@@ -85,4 +85,4 @@ def test_tables_extend_by_prefix(field, centers):
         fresh = Configuration(field, centers, 16).transfer(0, 2, k, n, 16)
         assert all(table_column(cfg, fresh, m) == table_column(cfg, long, m)
                    for m in range(16))
-    assert len(cfg._transfer_cache) == len(SOURCES)
+    assert len(transfer_tables(cfg)) == len(SOURCES)

@@ -1,6 +1,6 @@
 """The Cartan step's packed-row kernel against ``ae_dot``.
 
-`patching._Kernel.combine` computes base - sum L * R for t-coefficients of
+`patching._combine` computes base - sum L * R for t-coefficients of
 whole matrices, each held as one integer z-polynomial (one denominator, a
 numerator per entry, slot and coordinate).  The law: on the same
 precision-1 elements it equals base - sum ae_dot, entry by entry.  Drawn
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from patchalg import patching
 from patchalg.analytic import AnalyticElement, Configuration, ae_dot, random_element
-from patchalg.patching import PatchMatrix, _coefficients, _Kernel
+from patchalg.patching import PatchMatrix, _coefficients, _combine
 from patchalg.scalars import QQ, Scalar
 from patchalg.series import TruncSeries
 from test_rebase_props import QI, configurations
@@ -97,21 +97,21 @@ def _check(cfg, chart, base, products) -> None:
     whose packed rows the first call kept at its own slot width."""
     n = len(products[0][0])
     cells = [(r, c) for r in range(n) for c in range(n)]
-    kernel, pairs = _Kernel(cfg, n), []
+    pairs = []
     for L, R in products:
         x, y = _coefficient0(chart, L), _coefficient0(chart, R)
         for M, z in ((L, x), (R, y)):
             assert all(_element(cfg, chart, z, r, c) == M[r][c] for r, c in cells)
         pairs.append((x, y))
     nonzero = [(x, y) for x, y in pairs if x is not None and y is not None]
-    got = kernel.combine(None if base is None else _coefficient0(chart, base), nonzero)
+    got = _combine(cfg, n, None if base is None else _coefficient0(chart, base), nonzero)
     for r, c in cells:
         want = ae_dot([(L[r][k], R[k][c]) for L, R in products for k in range(n)])
         want = -want if base is None else base[r][c] - want
         assert _element(cfg, chart, got, r, c) == want
     for (L, R), pair in zip(products, pairs):
         if pair in nonzero:
-            got = kernel.combine(None, [pair])
+            got = _combine(cfg, n, None, [pair])
             for r, c in cells:
                 want = -ae_dot([(L[r][k], R[k][c]) for k in range(n)])
                 assert _element(cfg, chart, got, r, c) == want
@@ -151,14 +151,14 @@ def _short_bound(monkeypatch):
 
 
 def _no_sum_factor(monkeypatch):
-    right = _Kernel.right
+    right = patching._right
 
-    def dropped(self, y):
-        slots, ymag, _terms = right(self, y)
+    def dropped(y):
+        slots, ymag, _terms = right(y)
         y.right = slots, ymag, 1
         return y.right
 
-    monkeypatch.setattr(_Kernel, "right", dropped)
+    monkeypatch.setattr(patching, "_right", dropped)
 
 
 @pytest.mark.parametrize("right_slot", [(2, 1), None], ids=["i-side", "J-side"])

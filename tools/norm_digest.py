@@ -2,25 +2,18 @@
 roots, prime-point valuations or Weierstrass divisions, ring-ops results
 and oracle expansions, cartan factors, and inverses of cartan inputs.
 
-    python3 tools/norm_digest.py --seeds 1 2 3
-    python3 tools/norm_digest.py --kind product --seeds 1 2 3
-    python3 tools/norm_digest.py --kind hensel --seeds 1 2 3
-    python3 tools/norm_digest.py --kind valuation --seeds 1 2 3
-    python3 tools/norm_digest.py --kind bivar --seeds 1 2 3
-    python3 tools/norm_digest.py --kind ring --seeds 1 2 3
-    python3 tools/norm_digest.py --kind oracle --seeds 1 2 3
-    python3 tools/norm_digest.py --kind cartan --seeds 1 2 3
-    python3 tools/norm_digest.py --kind inverse --seeds 1 2 3
-    python3 tools/norm_digest.py --kind cartan-qi --seeds 1 2 3
+    python3 tools/norm_digest.py --seeds 1 2 3                  # every kind
+    python3 tools/norm_digest.py --kind norm product --seeds 1 2 3
 
 Run from the root of a checkout; the program is imported from ``src/`` and
 the requests are the ones ``bench/run.py`` draws for a seed, apart from
-``cartan-qi``, which draws its own.  For every request of the chosen kind
-it prints the seed, the request's place in the stream and the SHA-256 of
-the result's exact data:
+``cartan-qi``, which draws its own.  ``--kind`` takes any number of the
+kinds below and defaults to all of them.  For every request of each chosen
+kind it prints the kind, the seed, the request's place in the stream and
+the SHA-256 of the result's exact data:
 
-* ``norm`` (the default), kummer-qi norm-law requests: the norm's u2
-  power, t-shift and the series data of its numerator;
+* ``norm``, kummer-qi norm-law requests: the norm's u2 power, t-shift and
+  the series data of its numerator;
 * ``product``, kummer-qi norm-law requests (x, w): every coordinate (u2
   power, t-shift and series data) of the Kummer products x x, x (x r^w)
   and (x r^w) sigma(x);
@@ -255,13 +248,14 @@ KINDS = {
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--kind", choices=sorted([*KINDS, "cartan-qi"]), default="norm")
+    every = sorted([*KINDS, "cartan-qi"])
+    ap.add_argument("--kind", nargs="+", choices=every, default=every)
     args = ap.parse_args(argv)
-    for seed in args.seeds:
-        results = (cartan_qi_data(seed) if args.kind == "cartan-qi"
-                   else bench_data(args.kind, seed))
-        for n, data in results:
-            print(seed, n, hashlib.sha256(repr(data).encode()).hexdigest())
+    for kind in args.kind:
+        for seed in args.seeds:
+            results = cartan_qi_data(seed) if kind == "cartan-qi" else bench_data(kind, seed)
+            for n, data in results:
+                print(kind, seed, n, hashlib.sha256(repr(data).encode()).hexdigest())
     return 0
 
 
